@@ -1,13 +1,7 @@
 """Pair-similarity loss family: forward losses, gradients, geometry,
 a desk-scale embedding trainer, and evaluation metrics."""
 
-from .simcore import (
-    SimilarityGroup,
-    l2_normalize,
-    cosine,
-    class_similarities,
-    pairwise_similarities,
-)
+from .simcore import SimilarityGroup
 from .losses import (
     UnifiedParams,
     CircleParams,

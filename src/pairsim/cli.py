@@ -34,13 +34,29 @@ def _run_dir(out_dir: str, tag: str, config: dict) -> Path:
     return path
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _check_config_value(action: argparse.Action, key: str, value) -> None:
+    """Reject a config value that the flag's own parser could not produce."""
+    kind = bool if action.nargs == 0 else (action.type or str)
+    allowed = (int, float) if kind is float else (kind,)
+    ok = (value is None and action.default is None) or (
+        isinstance(value, allowed) and isinstance(value, bool) == (kind is bool)
+    )
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ValueError(f"config key {key!r}: {value!r} is not a valid value")
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError("config file must hold a JSON object")
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
         for key, value in overrides.items():
-            if not hasattr(args, key):
+            if key not in actions or key == "help":
                 raise ValueError(f"unknown config key {key!r}")
+            _check_config_value(actions[key], key, value)
             setattr(args, key, value)
 
 
@@ -49,6 +65,20 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", default="runs")
     sub.add_argument("--tag", default=None, help="run directory name prefix")
     sub.add_argument("--config", default=None, help="JSON file overriding flags")
+
+
+def _add_train_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--loss", default="circle", choices=engine.LOSS_IDS)
+    sub.add_argument("--paradigm", default="pair_wise", choices=["class_level", "pair_wise"])
+    sub.add_argument("--gamma", type=float, default=256.0)
+    sub.add_argument("--m", type=float, default=0.25)
+    sub.add_argument("--lr", type=float, default=0.05)
+    sub.add_argument("--iterations", type=int, default=200)
+    sub.add_argument("--batch-size", type=int, default=32)
+    sub.add_argument("--p-classes", type=int, default=8)
+    sub.add_argument("--k-samples", type=int, default=4)
+    sub.add_argument("--embed-dim", type=int, default=32)
+    sub.add_argument("--hidden", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,17 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = subs.add_parser("train", help="train an embedding model")
     train.add_argument("--data", required=True)
-    train.add_argument("--loss", default="circle", choices=engine.LOSS_IDS)
-    train.add_argument("--paradigm", default="pair_wise", choices=["class_level", "pair_wise"])
-    train.add_argument("--gamma", type=float, default=256.0)
-    train.add_argument("--m", type=float, default=0.25)
-    train.add_argument("--lr", type=float, default=0.05)
-    train.add_argument("--iterations", type=int, default=200)
-    train.add_argument("--batch-size", type=int, default=32)
-    train.add_argument("--p-classes", type=int, default=8)
-    train.add_argument("--k-samples", type=int, default=4)
-    train.add_argument("--embed-dim", type=int, default=32)
-    train.add_argument("--hidden", type=int, default=None)
+    _add_train_flags(train)
     _add_common(train)
 
     ev = subs.add_parser("eval", help="score a checkpoint on a dataset")
@@ -99,17 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--data", required=True)
     sw.add_argument("--axis", required=True, choices=["gamma", "m"])
     sw.add_argument("--values", required=True, help="comma-separated values")
-    sw.add_argument("--loss", default="circle", choices=engine.LOSS_IDS)
-    sw.add_argument("--paradigm", default="pair_wise", choices=["class_level", "pair_wise"])
-    sw.add_argument("--gamma", type=float, default=256.0)
-    sw.add_argument("--m", type=float, default=0.25)
-    sw.add_argument("--lr", type=float, default=0.05)
-    sw.add_argument("--iterations", type=int, default=200)
-    sw.add_argument("--batch-size", type=int, default=32)
-    sw.add_argument("--p-classes", type=int, default=8)
-    sw.add_argument("--k-samples", type=int, default=4)
-    sw.add_argument("--embed-dim", type=int, default=32)
-    sw.add_argument("--hidden", type=int, default=None)
+    _add_train_flags(sw)
     _add_common(sw)
 
     return parser
@@ -176,7 +186,7 @@ def _cmd_eval(args) -> None:
         with open(run_dir / "scatter.csv", "w", encoding="utf-8") as fh:
             fh.write("sn_max,sp_min\n")
             for sn, sp in scatter.points:
-                fh.write(f"{sn!r},{sp!r}\n")
+                fh.write(f"{float(sn)!r},{float(sp)!r}\n")
     evalkit.write_report_csv(run_dir / "metrics.csv", report)
     evalkit.write_report_json(run_dir / "metrics.json", report)
     print(f"wrote {run_dir}/metrics.csv")
@@ -227,7 +237,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         _COMMANDS[args.command](args)
     except (ValueError, RuntimeError) as exc:
         print(f"error:invalid-input:{exc}", file=sys.stderr)

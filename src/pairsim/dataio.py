@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "pairsim-ckpt-v1"
+CHECKPOINT_KEYS = ("din", "embed_dim", "w1", "w2", "class_weights")
 RECORD_HEADER = "iter,mean_sp,mean_sn,loss,lr"
 
 
@@ -39,6 +40,9 @@ class LabeledDataset:
             raise ValueError("features must be M x Din with one label per row")
         if self.labels.size < 2 or np.min(self.labels) < 0:
             raise ValueError("labels must be non-negative with M >= 2")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite feature in row {int(np.argmin(finite))}")
 
     @property
     def n_classes(self) -> int:
@@ -141,6 +145,9 @@ def load_checkpoint(path, expect_din: int | None = None):
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
+    missing = [key for key in CHECKPOINT_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"checkpoint lacks keys {missing}")
     w1 = np.array(doc["w1"], dtype=np.float64)
     w2 = None if doc["w2"] is None else np.array(doc["w2"], dtype=np.float64)
     cw = (

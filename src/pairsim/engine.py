@@ -10,7 +10,8 @@ bit-reproducible per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +109,8 @@ class TrainConfig:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
         if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSS_IDS)}")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be positive and finite")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
         if self.paradigm == "pair_wise" and (self.p_classes < 2 or self.k_samples < 2):

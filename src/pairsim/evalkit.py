@@ -64,6 +64,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     if n < 2:
         raise ValueError("need at least 2 samples")
     ks = sorted(int(k) for k in ks)
+    if not ks:
+        raise ValueError("ks must name at least one k")
     if ks[0] < 1 or ks[-1] >= n:
         raise ValueError(f"k must lie in [1, {n - 1}]")
     np.fill_diagonal(sim, -np.inf)

@@ -93,17 +93,15 @@ def gradient_field(loss_id: str, gamma: float, m: float, grid: GridSpec | None =
     (sn, sp, d_sn, d_sp, loss).
     """
     grid = grid or GridSpec()
-    sn_axis = np.linspace(*grid.sn_range, grid.resolution)
-    sp_axis = np.linspace(*grid.sp_range, grid.resolution)
-    rows = np.empty((grid.resolution * grid.resolution, 5))
-    idx = 0
-    for sn in sn_axis:
-        for sp in sp_axis:
-            g = SimilarityGroup(sp=np.array([sp]), sn=np.array([sn]))
-            lg = loss_grad(loss_id, g, gamma, m)
-            rows[idx] = (sn, sp, lg.d_sn[0], lg.d_sp[0], lg.value)
-            idx += 1
-    return rows
+    sn, sp = np.meshgrid(
+        np.linspace(*grid.sn_range, grid.resolution),
+        np.linspace(*grid.sp_range, grid.resolution),
+        indexing="ij",
+    )
+    # One anchor per grid point: B = resolution^2 rows with K = L = 1.
+    sn, sp = sn.reshape(-1, 1), sp.reshape(-1, 1)
+    lg = loss_grad(loss_id, SimilarityGroup(sp=sp, sn=sn), gamma, m)
+    return np.column_stack((sn, sp, lg.d_sn, lg.d_sp, lg.value))
 
 
 def write_gradient_field_csv(path, rows: np.ndarray) -> None:

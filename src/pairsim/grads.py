@@ -1,5 +1,11 @@
 """Analytic gradients of the losses, plus finite-difference verification.
 
+Each loss has one row-wise kernel over a SimilarityGroup of one anchor
+or of B masked rows: it gives the value, the attenuation factor Z and the
+gradients of every anchor at once. Entries outside an anchor's members
+get a -inf logit (+-inf for the triplet's max and min) and no gradient.
+Training, gradient-field grids and the single-group API share the kernels.
+
 The circle-loss gradient follows the detached-weighting convention: the
 self-paced weights are treated as constants during back-propagation, so
 the per-score factor is gamma * (sn + m) rather than gamma * 2 * sn. A
@@ -9,7 +15,6 @@ exists for comparison only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +26,12 @@ from .losses import (
     circle_logits,
     circle_loss,
     circle_weights,
+    fill_non_members,
     log1p_sum_exp,
-    stable_logsumexp,
-    triplet_hard_loss,
+    row_softmax,
     unified_loss,
 )
 from .simcore import SimilarityGroup
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 __all__ = [
     "LossGrad",
@@ -48,12 +46,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossGrad:
-    """Loss value with gradients over sp / sn and the attenuation factor Z."""
+    """Loss value with gradients over sp / sn and the attenuation factor Z.
 
-    value: float
+    For a 1-D group value and z are floats; for a batched group they are
+    arrays with one entry per anchor, and d_sp / d_sn are shaped like sp
+    / sn with zeros outside each anchor's members.
+    """
+
+    value: float | np.ndarray
     d_sp: np.ndarray
     d_sn: np.ndarray
-    z: float
+    z: float | np.ndarray
+
+
+def _per_anchor(x):
+    """A float for a single anchor, the per-row array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _pair_softmax(g: SimilarityGroup, un: np.ndarray, vp: np.ndarray):
+    """(value, z) of log[1 + sum e^un * sum e^vp] for each anchor.
+
+    un and vp are scratch logits shaped like sn and sp; they are
+    overwritten with their softmax weights, 0 outside each anchor's
+    members. Z = 1 - exp(-value) is the sigmoid of the summed log-sum-exps.
+    """
+    lse_n = row_softmax(fill_non_members(un, g.sn_mask, -np.inf))
+    lse_p = row_softmax(fill_non_members(vp, g.sp_mask, -np.inf))
+    value = np.logaddexp(0.0, lse_n + lse_p)
+    return value, -np.expm1(-value)
 
 
 def circle_grad(g: SimilarityGroup, p: CircleParams) -> LossGrad:
@@ -67,48 +88,49 @@ def circle_grad(g: SimilarityGroup, p: CircleParams) -> LossGrad:
     """
     if not p.is_reduced:
         raise ValueError("gradients defined for reduced mode")
-    un, vp = circle_logits(g, p)
-    lse_n = stable_logsumexp(un)
-    lse_p = stable_logsumexp(vp)
-    total = lse_n + lse_p
-    value = float(np.logaddexp(0.0, total))
-    z = _sigmoid(total)
+    d_sn, d_sp = circle_logits(g, p)
+    value, z = _pair_softmax(g, d_sn, d_sp)
+    scale = (z * p.gamma)[..., None]
     alpha_p, alpha_n = circle_weights(g, p)
-    d_sn = z * np.exp(un - lse_n) * p.gamma * (g.sn + p.m)
+    d_sn *= scale * (g.sn + p.m)
     d_sn[alpha_n <= 0.0] = 0.0
-    d_sp = z * np.exp(vp - lse_p) * p.gamma * (g.sp - 1.0 - p.m)
+    d_sp *= scale * (g.sp - 1.0 - p.m)
     d_sp[alpha_p <= 0.0] = 0.0
-    return LossGrad(value=value, d_sp=d_sp, d_sn=d_sn, z=z)
+    return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
 def unified_grad(g: SimilarityGroup, p: UnifiedParams) -> LossGrad:
     """Exact gradient of the unified loss; |d_sp| = |d_sn| when K = L = 1."""
-    un = p.gamma * (g.sn + p.m)
-    vp = -p.gamma * g.sp
-    lse_n = stable_logsumexp(un)
-    lse_p = stable_logsumexp(vp)
-    total = lse_n + lse_p
-    value = float(np.logaddexp(0.0, total))
-    z = _sigmoid(total)
-    d_sn = z * np.exp(un - lse_n) * p.gamma
-    d_sp = -z * np.exp(vp - lse_p) * p.gamma
-    return LossGrad(value=value, d_sp=d_sp, d_sn=d_sn, z=z)
+    d_sn = g.sn + p.m
+    d_sn *= p.gamma
+    d_sp = -p.gamma * g.sp
+    value, z = _pair_softmax(g, d_sn, d_sp)
+    scale = (z * p.gamma)[..., None]
+    d_sn *= scale
+    d_sp *= -scale
+    return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
 def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
     """Subgradient of the hard-mining triplet loss.
 
-    Inside the violating region the hardest pair gets (+1, -1); at the
-    hinge kink (activation within HINGE_ACTIVE_TOL of zero) and beyond
-    the boundary the gradient is zero.
+    Inside the violating region each anchor's hardest pair gets (+1, -1);
+    at the hinge kink (activation within HINGE_ACTIVE_TOL of zero) and
+    beyond the boundary the gradient is zero.
     """
-    value = triplet_hard_loss(g, m)
-    d_sp = np.zeros(g.k)
-    d_sn = np.zeros(g.l)
-    if value > HINGE_ACTIVE_TOL:
-        d_sn[int(np.argmax(g.sn))] = 1.0
-        d_sp[int(np.argmin(g.sp))] = -1.0
-    return LossGrad(value=value, d_sp=d_sp, d_sn=d_sn, z=-math.expm1(-value))
+    sn = fill_non_members(g.sn.copy(), g.sn_mask, -np.inf)
+    sp = fill_non_members(g.sp.copy(), g.sp_mask, np.inf)
+    hardest_n = np.argmax(sn, axis=-1)[..., None]
+    hardest_p = np.argmin(sp, axis=-1)[..., None]
+    hinge = np.take_along_axis(sn, hardest_n, -1) - np.take_along_axis(sp, hardest_p, -1) + m
+    value = np.maximum(hinge[..., 0], 0.0)
+    active = value[..., None] > HINGE_ACTIVE_TOL
+    d_sn = np.zeros_like(sn)
+    d_sp = np.zeros_like(sp)
+    np.put_along_axis(d_sn, hardest_n, np.where(active, 1.0, 0.0), axis=-1)
+    np.put_along_axis(d_sp, hardest_p, np.where(active, -1.0, 0.0), axis=-1)
+    z = -np.expm1(-value)
+    return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
 def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float) -> LossGrad:
@@ -235,20 +257,18 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         wnorms = np.linalg.norm(w, axis=1)
         what = w / wnorms[:, None]
         scores = np.clip(ehat @ what.T, -1.0, 1.0)
-        n_classes = w.shape[0]
-        grad_s = np.zeros_like(scores)
-        total_loss = 0.0
-        sp_all, sn_all = [], []
-        for b in range(batch):
-            y = int(labels[b])
-            mask = np.arange(n_classes) != y
-            group = SimilarityGroup(sp=scores[b, y : y + 1], sn=scores[b, mask])
-            lg = loss_grad(loss_id, group, gamma, m)
-            total_loss += lg.value
-            grad_s[b, y] = lg.d_sp[0] / batch
-            grad_s[b, mask] = lg.d_sn / batch
-            sp_all.append(group.sp)
-            sn_all.append(group.sn)
+        # K = 1: sp is the target column; L = N - 1: sn is every other column.
+        rows = np.arange(batch)
+        non_target = np.ones(scores.shape, dtype=bool)
+        non_target[rows, labels] = False
+        group = SimilarityGroup(sp=scores[rows, labels][:, None], sn=scores, sn_mask=non_target)
+        lg = loss_grad(loss_id, group, gamma, m)
+        # In place: d_sn is the kernel's own B x N array, 0 at each target.
+        grad_s = lg.d_sn
+        grad_s[rows, labels] = lg.d_sp[:, 0]
+        grad_s /= batch
+        mean_sp = float(np.mean(group.sp))
+        mean_sn = float(np.mean(scores, where=non_target))
         d_ehat = grad_s @ what
         d_what = grad_s.T @ ehat
         # Jacobian of row normalization for the class weights.
@@ -258,21 +278,12 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         same = labels[:, None] == labels[None, :]
         np.fill_diagonal(same, False)
         diff = labels[:, None] != labels[None, :]
-        grad_s = np.zeros_like(scores)
-        total_loss = 0.0
-        sp_all, sn_all = [], []
-        for b in range(batch):
-            pos = same[b]
-            neg = diff[b]
-            if not pos.any() or not neg.any():
-                raise ValueError("empty similarity side: anchor lacks positives or negatives")
-            group = SimilarityGroup(sp=scores[b, pos], sn=scores[b, neg])
-            lg = loss_grad(loss_id, group, gamma, m)
-            total_loss += lg.value
-            grad_s[b, pos] = lg.d_sp / batch
-            grad_s[b, neg] = lg.d_sn / batch
-            sp_all.append(group.sp)
-            sn_all.append(group.sn)
+        group = SimilarityGroup(sp=scores, sn=scores, sp_mask=same, sn_mask=diff)
+        lg = loss_grad(loss_id, group, gamma, m)
+        # The masks are disjoint and each side's gradient is 0 off its mask.
+        grad_s = (lg.d_sp + lg.d_sn) / batch
+        mean_sp = float(np.mean(scores, where=same))
+        mean_sn = float(np.mean(scores, where=diff))
         d_ehat = (grad_s + grad_s.T) @ ehat
         d_w = None
     else:
@@ -284,7 +295,5 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
     if d_w is not None:
         param_grads["class_weights"] = d_w
 
-    mean_loss = total_loss / batch
-    mean_sp = float(np.mean(np.concatenate(sp_all)))
-    mean_sn = float(np.mean(np.concatenate(sn_all)))
+    mean_loss = float(np.sum(lg.value)) / batch
     return param_grads, mean_loss, mean_sp, mean_sn

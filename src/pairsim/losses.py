@@ -109,10 +109,25 @@ class CircleParams:
         return cls(gamma=gamma, op=op, on=on, dp=dp, dn=dn)
 
 
-def stable_logsumexp(terms: np.ndarray) -> float:
-    """log(sum_k exp(terms_k)) with max-shift; cheaper than scipy for tiny arrays."""
-    shift = float(np.max(terms))
-    return shift + math.log(float(np.sum(np.exp(terms - shift))))
+def fill_non_members(values: np.ndarray, mask, fill: float) -> np.ndarray:
+    """Set the entries of ``values`` outside ``mask`` to ``fill``, in place; None masks none."""
+    if mask is not None:
+        np.copyto(values, fill, where=~mask)
+    return values
+
+
+def row_softmax(logits: np.ndarray):
+    """Overwrite each row of ``logits`` with its softmax; return each row's log-sum-exp.
+
+    Rows are shifted by their max, so no exponential overflows. A -inf
+    logit gets weight exactly 0; every row needs one finite logit.
+    """
+    shift = np.max(logits, axis=-1, keepdims=True)
+    logits -= shift
+    np.exp(logits, out=logits)
+    total = np.sum(logits, axis=-1, keepdims=True)
+    logits /= total
+    return (shift + np.log(total))[..., 0]
 
 
 def log1p_sum_exp(terms: np.ndarray) -> float:

@@ -1,10 +1,11 @@
-"""Cosine-similarity primitives shared by both learning paradigms.
+"""The similarity groups shared by both learning paradigms.
 
 Everything downstream (losses, gradients, training) consumes similarity
 scores grouped per anchor: the within-class scores ``sp`` and the
-between-class scores ``sn``. This module produces those groups, either
-from class weight vectors (class-level labels) or from other samples in
-a batch (pair-wise labels).
+between-class scores ``sn``. A group holds one anchor as 1-D arrays, or
+B anchors as B x K and B x L rows. Batched rows may be padded: boolean
+member masks say which entries of each row belong to that anchor, so a
+score matrix and two masks express a whole batch in either paradigm.
 """
 
 from __future__ import annotations
@@ -13,97 +14,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SimilarityGroup",
-    "l2_normalize",
-    "cosine",
-    "class_similarities",
-    "pairwise_similarities",
-]
+__all__ = ["SimilarityGroup"]
 
 
-def _as_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("degenerate feature: expected a 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("degenerate feature: non-finite entries")
-    return v
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm, preserving direction."""
-    v = _as_vector(v)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("degenerate feature: zero norm")
-    return v / norm
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two non-zero vectors, clamped to [-1, 1].
-
-    The clamp absorbs rounding: downstream self-paced weights depend on
-    similarity bounds and must never see 1 + eps.
-    """
-    return float(np.clip(l2_normalize(a) @ l2_normalize(b), -1.0, 1.0))
+def _member_mask(mask, scores: np.ndarray, side: str) -> np.ndarray:
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != scores.shape:
+        raise ValueError(f"{side} mask shape {mask.shape} != scores shape {scores.shape}")
+    if not mask.any(axis=-1).all():
+        raise ValueError("empty similarity side: an anchor has no members")
+    return mask
 
 
 @dataclass(frozen=True)
 class SimilarityGroup:
-    """The K within-class and L between-class scores of one anchor."""
+    """The within-class scores sp and between-class scores sn of B anchors.
+
+    sp and sn are 1-D for a single anchor, or B x K and B x L with one
+    row per anchor. The optional boolean masks sp_mask and sn_mask,
+    shaped like sp and sn, select each anchor's members; without a mask
+    every entry of the row is a member. Every score must be finite,
+    members or not, and every anchor needs a member on each side.
+    """
 
     sp: np.ndarray
     sn: np.ndarray
+    sp_mask: np.ndarray | None = None
+    sn_mask: np.ndarray | None = None
 
     def __post_init__(self):
         sp = np.atleast_1d(np.asarray(self.sp, dtype=np.float64))
         sn = np.atleast_1d(np.asarray(self.sn, dtype=np.float64))
-        if sp.size < 1 or sn.size < 1:
+        if sp.ndim > 2 or sp.shape[:-1] != sn.shape[:-1]:
+            raise ValueError("sp and sn must be 1-D, or B x K and B x L rows")
+        if sp.shape[-1] < 1 or sn.shape[-1] < 1:
             raise ValueError("empty similarity side")
-        if not (np.all(np.isfinite(sp)) and np.all(np.isfinite(sn))):
+        if not (np.isfinite(sp).all() and np.isfinite(sn).all()):
             raise ValueError("non-finite similarity score")
         object.__setattr__(self, "sp", sp)
         object.__setattr__(self, "sn", sn)
+        if self.sp_mask is not None:
+            object.__setattr__(self, "sp_mask", _member_mask(self.sp_mask, sp, "sp"))
+        if self.sn_mask is not None:
+            object.__setattr__(self, "sn_mask", _member_mask(self.sn_mask, sn, "sn"))
 
     @property
     def k(self) -> int:
-        return self.sp.size
+        """Entries per sp row: the anchor's K when sp has no mask."""
+        return self.sp.shape[-1]
 
     @property
     def l(self) -> int:
-        return self.sn.size
-
-
-def class_similarities(x, weights, label: int) -> SimilarityGroup:
-    """Similarity group of ``x`` against an N x D class-weight matrix.
-
-    sp is the single cosine against the target row, sn the N-1 cosines
-    against the non-target rows in ascending row order.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] < 2:
-        raise ValueError("class weights must be an N x D matrix with N >= 2")
-    n = w.shape[0]
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range [0, {n})")
-    xh = l2_normalize(x)
-    norms = np.linalg.norm(w, axis=1)
-    if not np.all(np.isfinite(w)) or np.any(norms == 0.0):
-        raise ValueError("degenerate feature: bad class-weight row")
-    scores = np.clip((w / norms[:, None]) @ xh, -1.0, 1.0)
-    mask = np.arange(n) != label
-    return SimilarityGroup(sp=scores[label : label + 1], sn=scores[mask])
-
-
-def pairwise_similarities(anchor, positives, negatives) -> SimilarityGroup:
-    """Similarity group of an anchor against explicit positive/negative sets.
-
-    The caller is responsible for excluding the anchor itself from both sets.
-    """
-    if len(positives) == 0 or len(negatives) == 0:
-        raise ValueError("empty similarity side")
-    ah = l2_normalize(anchor)
-    sp = np.array([np.clip(ah @ l2_normalize(p), -1.0, 1.0) for p in positives])
-    sn = np.array([np.clip(ah @ l2_normalize(q), -1.0, 1.0) for q in negatives])
-    return SimilarityGroup(sp=sp, sn=sn)
+        """Entries per sn row: the anchor's L when sn has no mask."""
+        return self.sn.shape[-1]

@@ -1,0 +1,70 @@
+"""Per-vector reference grouping: the loop the batched masks replace.
+
+These helpers build one anchor's SimilarityGroup from raw vectors, one
+cosine at a time, independently of the score matrix and member masks
+that ``grads.backprop_to_params`` uses. Tests compare the batched
+kernels against them; tests/test_simcore.py keeps the reference honest.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pairsim.simcore import SimilarityGroup
+
+
+def _as_vector(v) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("degenerate feature: expected a 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("degenerate feature: non-finite entries")
+    return v
+
+
+def l2_normalize(v) -> np.ndarray:
+    """Scale ``v`` to unit Euclidean norm, preserving direction."""
+    v = _as_vector(v)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError("degenerate feature: zero norm")
+    return v / norm
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity of two non-zero vectors, clamped to [-1, 1]."""
+    return float(np.clip(l2_normalize(a) @ l2_normalize(b), -1.0, 1.0))
+
+
+def class_similarities(x, weights, label: int) -> SimilarityGroup:
+    """Similarity group of ``x`` against an N x D class-weight matrix.
+
+    sp is the single cosine against the target row, sn the N-1 cosines
+    against the non-target rows in ascending row order.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] < 2:
+        raise ValueError("class weights must be an N x D matrix with N >= 2")
+    n = w.shape[0]
+    if not 0 <= label < n:
+        raise ValueError(f"label {label} out of range [0, {n})")
+    xh = l2_normalize(x)
+    norms = np.linalg.norm(w, axis=1)
+    if not np.all(np.isfinite(w)) or np.any(norms == 0.0):
+        raise ValueError("degenerate feature: bad class-weight row")
+    scores = np.clip((w / norms[:, None]) @ xh, -1.0, 1.0)
+    mask = np.arange(n) != label
+    return SimilarityGroup(sp=scores[label : label + 1], sn=scores[mask])
+
+
+def pairwise_similarities(anchor, positives, negatives) -> SimilarityGroup:
+    """Similarity group of an anchor against explicit positive/negative sets.
+
+    The caller is responsible for excluding the anchor itself from both sets.
+    """
+    if len(positives) == 0 or len(negatives) == 0:
+        raise ValueError("empty similarity side")
+    ah = l2_normalize(anchor)
+    sp = np.array([np.clip(ah @ l2_normalize(p), -1.0, 1.0) for p in positives])
+    sn = np.array([np.clip(ah @ l2_normalize(q), -1.0, 1.0) for q in negatives])
+    return SimilarityGroup(sp=sp, sn=sn)

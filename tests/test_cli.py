@@ -118,6 +118,28 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:invalid-input:")
 
+    @pytest.mark.parametrize(
+        "override", [{"iterations": "5"}, {"lr": True}, {"hidden": 2.5}, {"loss": "arcface"}]
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, data_csv, capsys, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        rc = main(
+            [
+                "train", "--data", str(data_csv), "--out-dir", str(tmp_path / "r"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:invalid-input:config key")
+
+    def test_config_file_not_an_object(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[3]")
+        rc = main(["train", "--data", str(data_csv), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:invalid-input:config file")
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -162,6 +184,38 @@ class TestEval:
         scatter = (run_dir / "scatter.csv").read_text().splitlines()
         assert scatter[0] == "sn_max,sp_min"
         assert len(scatter) == 25
+
+    def test_scatter_fields_are_plain_floats(self, tmp_path, data_csv, checkpoint):
+        out = tmp_path / "evalrun"
+        assert main(
+            [
+                "eval", "--checkpoint", str(checkpoint), "--data", str(data_csv),
+                "--ks", "1", "--scatter", "--out-dir", str(out),
+            ]
+        ) == 0
+        (run_dir,) = run_dirs(out)
+        for line in (run_dir / "scatter.csv").read_text().splitlines()[1:]:
+            assert [float(field) for field in line.split(",")]
+
+    def test_empty_ks(self, tmp_path, data_csv, checkpoint, capsys):
+        rc = main(
+            ["eval", "--checkpoint", str(checkpoint), "--data", str(data_csv),
+             "--ks", "", "--out-dir", str(tmp_path / "r")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:invalid-input:")
+
+    def test_checkpoint_missing_key(self, tmp_path, data_csv, checkpoint, capsys):
+        doc = json.loads(checkpoint.read_text())
+        del doc["w2"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        rc = main(
+            ["eval", "--checkpoint", str(broken), "--data", str(data_csv),
+             "--out-dir", str(tmp_path / "r")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:invalid-input:")
 
     def test_dimension_mismatch(self, tmp_path, checkpoint, capsys):
         bad = tmp_path / "bad.csv"

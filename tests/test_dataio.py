@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="Din"):
             load_checkpoint(path, expect_din=7)
 
+    def test_missing_key(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, init_model(5, din=4, embed_dim=6))
+        doc = json.loads(path.read_text())
+        del doc["w2"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="lacks keys \\['w2'\\]"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format": "pairsim-ckpt-v0"}\n')
@@ -133,3 +144,10 @@ class TestLabeledDataset:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LabeledDataset(features=np.zeros((3, 2)), labels=np.zeros(2, dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        features = np.zeros((3, 2))
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite feature in row 2"):
+            LabeledDataset(features=features, labels=np.array([0, 1, 1]))

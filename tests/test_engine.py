@@ -209,14 +209,18 @@ class TestTrain:
 
     def test_class_level_l_is_n_minus_1(self):
         # One sample per class in class-level mode: every anchor sees N-1
-        # between-class scores.
+        # between-class scores. The batch is one masked group; count each
+        # anchor's members row by row.
         ds = gen_clusters(ClusterSpec(5, 1, 8, noise_sigma=0.0, seed=3))
         model = init_model(0, din=8, embed_dim=4, n_classes=5)
         captured = []
         original = grads.loss_grad
 
+        def members(scores, mask):
+            return np.full(scores.shape[0], scores.shape[1]) if mask is None else mask.sum(axis=1)
+
         def spy(loss_id, g, gamma, m):
-            captured.append((g.k, g.l))
+            captured.extend(zip(members(g.sp, g.sp_mask), members(g.sn, g.sn_mask)))
             return original(loss_id, g, gamma, m)
 
         grads.loss_grad, old = spy, grads.loss_grad
@@ -226,7 +230,7 @@ class TestTrain:
             )
         finally:
             grads.loss_grad = old
-        assert captured and all(k == 1 and l == 4 for k, l in captured)
+        assert len(captured) == 5 and all(k == 1 and l == 4 for k, l in captured)
 
     def test_zero_gradient_stub_leaves_model_unchanged(self, small_dataset):
         # Loss-agnostic plumbing: a loss producing zero gradients must not
@@ -274,6 +278,11 @@ class TestConfigValidation:
     def test_bad_paradigm(self):
         with pytest.raises(ValueError, match="paradigm"):
             TrainConfig(paradigm="semi_supervised")
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+    def test_lr_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            TrainConfig(lr=lr)
 
     def test_pairwise_pk_minimums(self):
         with pytest.raises(ValueError, match="P >= 2"):

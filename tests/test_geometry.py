@@ -117,6 +117,20 @@ class TestGradientField:
         np.testing.assert_allclose(rows[:3, 0], 0.0)
         np.testing.assert_allclose(rows[:3, 1], [0.0, 0.5, 1.0])
 
+    def test_one_kernel_call_per_field(self, monkeypatch):
+        from pairsim import geometry
+
+        calls = []
+        original = geometry.loss_grad
+
+        def spy(loss_id, g, gamma, m):
+            calls.append(g.sp.shape)
+            return original(loss_id, g, gamma, m)
+
+        monkeypatch.setattr(geometry, "loss_grad", spy)
+        gradient_field("circle", 64, 0.25, GridSpec(resolution=7))
+        assert calls == [(49, 1)]
+
     def test_resolution_validation(self):
         with pytest.raises(ValueError, match="resolution"):
             GridSpec(resolution=1)

@@ -14,6 +14,7 @@ from pairsim.grads import (
 )
 from pairsim.losses import CircleParams, UnifiedParams, circle_loss, unified_loss
 from pairsim.simcore import SimilarityGroup
+from reference import class_similarities, pairwise_similarities
 
 # mpmath (50 digits) evaluation of the closed-form gradient at A = (0.8, 0.8),
 # reduced m=0.25, gamma=1.
@@ -178,6 +179,76 @@ class TestLossGradDispatch:
         np.testing.assert_array_equal(a.d_sn, b.d_sn)
 
 
+KERNEL_LOSSES = ("circle", "unified", "am_softmax", "triplet")
+
+
+def _pairwise_batch(rng):
+    """Ragged pair-wise batch (classes of 3, 2 and 4) as one masked group."""
+    labels = rng.permutation(np.repeat([0, 1, 2], [3, 2, 4]))
+    e = rng.standard_normal((labels.size, 5))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    scores = np.clip(e @ e.T, -1.0, 1.0)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    diff = labels[:, None] != labels[None, :]
+    return SimilarityGroup(sp=scores, sn=scores, sp_mask=same, sn_mask=diff)
+
+
+def _class_level_batch(rng):
+    """Class-level batch: K = 1 target column, L = N - 1 masked columns."""
+    batch, n_classes = 7, 5
+    scores = rng.uniform(-1, 1, (batch, n_classes))
+    labels = rng.integers(0, n_classes, batch)
+    rows = np.arange(batch)
+    non_target = np.ones(scores.shape, dtype=bool)
+    non_target[rows, labels] = False
+    return SimilarityGroup(sp=scores[rows, labels][:, None], sn=scores, sn_mask=non_target)
+
+
+def _members(side, mask, row):
+    return side[row] if mask is None else side[row][mask[row]]
+
+
+class TestBatchedKernel:
+    """Each row of a masked batch equals the 1-D kernel on that anchor alone."""
+
+    @pytest.mark.parametrize("build", [_pairwise_batch, _class_level_batch])
+    @pytest.mark.parametrize("loss_id", KERNEL_LOSSES)
+    def test_rows_match_single_anchor(self, build, loss_id):
+        g = build(np.random.default_rng(31))
+        gamma, m = 64.0, 0.25
+        batched = loss_grad(loss_id, g, gamma, m)
+        exact = loss_id == "triplet"
+        for b in range(g.sp.shape[0]):
+            single = loss_grad(
+                loss_id,
+                group(_members(g.sp, g.sp_mask, b), _members(g.sn, g.sn_mask, b)),
+                gamma,
+                m,
+            )
+            got = (
+                batched.value[b],
+                batched.z[b],
+                _members(batched.d_sp, g.sp_mask, b),
+                _members(batched.d_sn, g.sn_mask, b),
+            )
+            want = (single.value, single.z, single.d_sp, single.d_sn)
+            for a, w in zip(got, want):
+                if exact:
+                    np.testing.assert_array_equal(a, w)
+                else:
+                    np.testing.assert_allclose(a, w, rtol=1e-12, atol=1e-12)
+            # Entries outside the anchor's members get no gradient.
+            for d, mask in ((batched.d_sp, g.sp_mask), (batched.d_sn, g.sn_mask)):
+                if mask is not None:
+                    assert not np.any(d[b][~mask[b]])
+
+    def test_single_anchor_is_scalar(self):
+        lg = loss_grad("circle", group([0.6, 0.7], [0.2]), 32, 0.25)
+        assert isinstance(lg.value, float) and isinstance(lg.z, float)
+        assert lg.d_sp.shape == (2,) and lg.d_sn.shape == (1,)
+
+
 def _batch_loss(model, features, labels, loss_id, gamma, m, paradigm, frozen_alphas=None):
     """Forward-only batch loss; optionally with per-anchor frozen weights."""
     emb = model.embed(features)
@@ -271,6 +342,35 @@ class TestBackpropToParams:
                     i,
                     j,
                 )
+
+    @pytest.mark.parametrize("paradigm", ["class_level", "pair_wise"])
+    def test_batch_matches_per_anchor_reference(self, paradigm):
+        # The masks must select the groups the per-vector reference builds
+        # anchor by anchor; the scores differ only by rounding.
+        rng = np.random.default_rng(22)
+        labels = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 1])
+        n_classes = 3 if paradigm == "class_level" else None
+        model = init_model(22, din=4, embed_dim=5, n_classes=n_classes)
+        features = rng.standard_normal((labels.size, 4))
+        _, loss, mean_sp, mean_sn = backprop_to_params(
+            model, features, labels, "circle", 16.0, 0.25, paradigm
+        )
+        emb, _ = model.forward(features)
+        groups = []
+        for b, y in enumerate(labels):
+            if paradigm == "class_level":
+                groups.append(class_similarities(emb[b], model.class_weights, int(y)))
+            else:
+                others = np.arange(labels.size) != b
+                groups.append(
+                    pairwise_similarities(
+                        emb[b], emb[others & (labels == y)], emb[labels != y]
+                    )
+                )
+        ref_loss = np.mean([loss_grad("circle", g, 16.0, 0.25).value for g in groups])
+        assert loss == pytest.approx(ref_loss, rel=1e-9)
+        assert mean_sp == pytest.approx(np.mean(np.concatenate([g.sp for g in groups])), rel=1e-12)
+        assert mean_sn == pytest.approx(np.mean(np.concatenate([g.sn for g in groups])), rel=1e-12)
 
     def test_zero_loss_grad_means_zero_param_grads(self):
         # Triplet on a fully satisfied batch: no gradient anywhere.

@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pairsim.simcore import (
-    SimilarityGroup,
-    class_similarities,
-    cosine,
-    l2_normalize,
-    pairwise_similarities,
-)
+from pairsim.simcore import SimilarityGroup
+from reference import class_similarities, cosine, l2_normalize, pairwise_similarities
 
 finite_vectors = arrays(
     np.float64,
@@ -138,3 +133,17 @@ class TestSimilarityGroup:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             SimilarityGroup(sp=[np.nan], sn=[0.1])
+
+    def test_anchor_without_members_rejected(self):
+        scores = np.zeros((2, 3))
+        mask = np.array([[True, False, True], [False, False, False]])
+        with pytest.raises(ValueError, match="empty similarity side"):
+            SimilarityGroup(sp=scores, sn=scores, sn_mask=mask)
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ValueError, match="mask shape"):
+            SimilarityGroup(sp=np.zeros((2, 3)), sn=np.zeros((2, 3)), sp_mask=np.ones((2, 2)))
+
+    def test_rows_must_pair_up(self):
+        with pytest.raises(ValueError, match="B x K"):
+            SimilarityGroup(sp=np.zeros((2, 1)), sn=np.zeros((3, 4)))
