@@ -179,10 +179,11 @@ def _cmd_eval(args) -> None:
     if args.scatter:
         scatter = evalkit.similarity_scatter(model, dataset)
         report.pair_scatter = scatter.points
-        report.concentration = (
-            float(scatter.points.mean()),
-            float(scatter.points.var(axis=0).sum()),
-        )
+        if scatter.points.size:
+            report.concentration = (
+                float(scatter.points.mean()),
+                float(scatter.points.var(axis=0).sum()),
+            )
         with open(run_dir / "scatter.csv", "w", encoding="utf-8") as fh:
             fh.write("sn_max,sp_min\n")
             for sn, sp in scatter.points:

@@ -137,25 +137,39 @@ def save_checkpoint(path, model, config_echo: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _checkpoint_matrix(doc: dict, key: str, cols: int | None = None) -> np.ndarray:
+    """A checkpoint array as a finite, non-empty 2-D float matrix."""
+    try:
+        arr = np.array(doc[key])
+    except ValueError:
+        raise ValueError(f"checkpoint {key} is not a matrix") from None
+    if arr.dtype.kind not in "iuf" or arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"checkpoint {key} must be a non-empty 2-D matrix of numbers")
+    if cols is not None and arr.shape[1] != cols:
+        raise ValueError(f"checkpoint {key} has {arr.shape[1]} columns, expected {cols}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"checkpoint {key} holds a non-finite value")
+    return arr.astype(np.float64)
+
+
 def load_checkpoint(path, expect_din: int | None = None):
     """Load an EmbeddingModel; returns (model, config_echo)."""
     from .engine import EmbeddingModel
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint must hold a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
     missing = [key for key in CHECKPOINT_KEYS if key not in doc]
     if missing:
         raise ValueError(f"checkpoint lacks keys {missing}")
-    w1 = np.array(doc["w1"], dtype=np.float64)
-    w2 = None if doc["w2"] is None else np.array(doc["w2"], dtype=np.float64)
-    cw = (
-        None
-        if doc["class_weights"] is None
-        else np.array(doc["class_weights"], dtype=np.float64)
-    )
-    model = EmbeddingModel(w1=w1, w2=w2, class_weights=cw)
+    w1 = _checkpoint_matrix(doc, "w1")
+    w2 = None if doc["w2"] is None else _checkpoint_matrix(doc, "w2", cols=w1.shape[0])
+    model = EmbeddingModel(w1=w1, w2=w2)
+    if doc["class_weights"] is not None:
+        model.class_weights = _checkpoint_matrix(doc, "class_weights", cols=model.embed_dim)
     if model.din != doc["din"] or model.embed_dim != doc["embed_dim"]:
         raise ValueError("checkpoint dimension fields disagree with arrays")
     if expect_din is not None and model.din != expect_din:

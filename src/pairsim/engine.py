@@ -82,6 +82,8 @@ class EmbeddingModel:
     def embed(self, x: np.ndarray) -> np.ndarray:
         """L2-normalized embeddings of a feature matrix."""
         emb, _ = self.forward(np.asarray(x, dtype=np.float64))
+        if not np.all(np.isfinite(emb)):
+            raise ValueError("degenerate feature: non-finite embedding")
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise ValueError("degenerate feature: zero-norm embedding")

@@ -14,6 +14,9 @@ import numpy as np
 
 from .dataio import LabeledDataset
 
+# Query rows scored at once by recall_at_k and similarity_scatter.
+ROW_BLOCK = 256
+
 __all__ = [
     "MetricsReport",
     "ScatterResult",
@@ -44,23 +47,42 @@ class ScatterResult:
     skipped: int
 
 
-def _cosine_matrix(embeddings: np.ndarray) -> np.ndarray:
-    e = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(e, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate feature: zero-norm embedding")
-    eh = e / norms
-    return np.clip(eh @ eh.T, -1.0, 1.0)
+def _row_blocks(emb: np.ndarray, labels: np.ndarray):
+    """Walk the gallery in blocks of ROW_BLOCK query rows.
+
+    Yields (rows, sim, positive): the block's rows as a slice, its clipped
+    cosine block ``emb[rows] @ emb.T`` with each row's own score set to
+    -inf, and its same-class mask with self excluded. One block is built
+    at a time, so memory grows with ROW_BLOCK x n, not n x n.
+    """
+    n = emb.shape[0]
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        sim = emb[rows] @ emb.T
+        np.clip(sim, -1.0, 1.0, out=sim)
+        positive = labels[rows, None] == labels[None, :]
+        np.fill_diagonal(sim[:, rows], -np.inf)
+        np.fill_diagonal(positive[:, rows], False)
+        yield rows, sim, positive
 
 
 def recall_at_k(embeddings, labels, ks) -> dict:
     """Fraction of queries whose k nearest neighbors hit a same-class item.
 
-    Cosine metric, self excluded, ties broken by ascending index.
+    Cosine metric, self excluded, ties broken by ascending index. Query q
+    hits at k exactly when fewer than k items rank above its best
+    positive j* (the first same-class item of highest score s*), i.e.
+    count(sim > s*) + count(sim == s* and index < j*) < k; a query with
+    no positive never hits. Counting replaces a sort of the n x n matrix.
     """
     labels = np.asarray(labels)
-    sim = _cosine_matrix(embeddings)
-    n = sim.shape[0]
+    e = np.asarray(embeddings, dtype=np.float64)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("degenerate feature: non-finite embedding")
+    norms = np.linalg.norm(e, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("degenerate feature: zero-norm embedding")
+    n = e.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")
     ks = sorted(int(k) for k in ks)
@@ -68,13 +90,16 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise ValueError("ks must name at least one k")
     if ks[0] < 1 or ks[-1] >= n:
         raise ValueError(f"k must lie in [1, {n - 1}]")
-    np.fill_diagonal(sim, -np.inf)
-    order = np.argsort(-sim, axis=1, kind="stable")
-    hits = labels[order] == labels[:, None]
-    out = {}
-    for k in ks:
-        out[k] = float(np.mean(np.any(hits[:, :k], axis=1)))
-    return out
+    index = np.arange(n)
+    above = np.full(n, n)
+    for rows, sim, positive in _row_blocks(e / norms, labels):
+        best = np.max(sim, axis=1, where=positive, initial=-np.inf)[:, None]
+        tie = sim == best
+        first = np.argmax(tie & positive, axis=1)[:, None]
+        count = np.count_nonzero(sim > best, axis=1)
+        count += np.count_nonzero(tie & (index < first), axis=1)
+        above[rows] = np.where(best[:, 0] > -np.inf, count, n)
+    return {k: float(np.mean(above < k)) for k in ks}
 
 
 def tar_at_far(genuine_scores, impostor_scores, far_targets) -> dict:
@@ -104,22 +129,18 @@ def tar_at_far(genuine_scores, impostor_scores, far_targets) -> dict:
 def similarity_scatter(model, dataset: LabeledDataset) -> ScatterResult:
     """Per-anchor hardest pair (max_j sn_j, min_i sp_i) over a dataset.
 
-    Anchors in singleton classes have no positives and are skipped; the
-    skip count is reported instead of warning per anchor.
+    Anchors without a positive (singleton classes) or without a negative
+    are skipped; the skip count is reported instead of warning per anchor.
     """
     emb = model.embed(dataset.features)
-    sim = np.clip(emb @ emb.T, -1.0, 1.0)
-    labels = dataset.labels
-    n = sim.shape[0]
-    points, skipped = [], 0
-    for a in range(n):
-        pos = (labels == labels[a]) & (np.arange(n) != a)
-        neg = labels != labels[a]
-        if not pos.any() or not neg.any():
-            skipped += 1
-            continue
-        points.append((np.max(sim[a, neg]), np.min(sim[a, pos])))
-    return ScatterResult(points=np.array(points), skipped=skipped)
+    blocks = []
+    for _, sim, positive in _row_blocks(emb, dataset.labels):
+        sn_max = np.max(sim, axis=1, where=~positive, initial=-np.inf)
+        sp_min = np.min(sim, axis=1, where=positive, initial=np.inf)
+        usable = (sn_max > -np.inf) & (sp_min < np.inf)
+        blocks.append(np.column_stack([sn_max, sp_min])[usable])
+    points = np.concatenate(blocks)
+    return ScatterResult(points=points, skipped=dataset.labels.size - points.shape[0])
 
 
 def sweep(dataset: LabeledDataset, base_config, axis: str, values):
@@ -170,9 +191,9 @@ def write_report_json(path, report: MetricsReport) -> None:
         if report.pair_scatter is None
         else int(report.pair_scatter.shape[0]),
     }
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_sweep_csv(path, axis: str, rows) -> None:

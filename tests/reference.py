@@ -1,9 +1,13 @@
-"""Per-vector reference grouping: the loop the batched masks replace.
+"""Per-vector and per-query references for the batched code paths.
 
-These helpers build one anchor's SimilarityGroup from raw vectors, one
-cosine at a time, independently of the score matrix and member masks
+The grouping helpers build one anchor's SimilarityGroup from raw vectors,
+one cosine at a time, independently of the score matrix and member masks
 that ``grads.backprop_to_params`` uses. Tests compare the batched
 kernels against them; tests/test_simcore.py keeps the reference honest.
+
+The retrieval helpers rank and scan one query at a time over the whole
+gallery, independently of the row blocks and rank counting in
+``evalkit``.
 """
 
 from __future__ import annotations
@@ -68,3 +72,35 @@ def pairwise_similarities(anchor, positives, negatives) -> SimilarityGroup:
     sp = np.array([np.clip(ah @ l2_normalize(p), -1.0, 1.0) for p in positives])
     sn = np.array([np.clip(ah @ l2_normalize(q), -1.0, 1.0) for q in negatives])
     return SimilarityGroup(sp=sp, sn=sn)
+
+
+def recall_at_k_bruteforce(embeddings, labels, ks) -> dict:
+    """R@K from a full ranking per query: score descending, ties by
+    ascending index, self excluded."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    e = e / np.linalg.norm(e, axis=1, keepdims=True)
+    labels = np.asarray(labels)
+    n = labels.size
+    index = np.arange(n)
+    hits = dict.fromkeys(ks, 0)
+    for q in range(n):
+        score = np.clip(e @ e[q], -1.0, 1.0)
+        order = np.lexsort((index, -score))
+        same = labels[order[order != q]] == labels[q]
+        for k in ks:
+            hits[k] += bool(same[:k].any())
+    return {k: hits[k] / n for k in ks}
+
+
+def hardest_pairs(emb, labels):
+    """(max sn, min sp) per anchor that has a positive and a negative,
+    from the full masked score matrix; returns (points, skipped)."""
+    labels = np.asarray(labels)
+    sim = np.clip(emb @ emb.T, -1.0, 1.0)
+    same = labels[:, None] == labels[None, :]
+    positive = same & ~np.eye(labels.size, dtype=bool)
+    sn_max = np.where(~same, sim, -np.inf).max(axis=1)
+    sp_min = np.where(positive, sim, np.inf).min(axis=1)
+    usable = positive.any(axis=1) & (~same).any(axis=1)
+    points = np.column_stack([sn_max, sp_min])[usable]
+    return points, int(np.count_nonzero(~usable))

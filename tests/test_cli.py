@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairsim.cli import build_parser, main
 
@@ -217,6 +223,61 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:invalid-input:")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("w1", [1.0, 2.0]),
+            ("w1", [[[1.0] * 8] * 8]),
+            ("w1", []),
+            ("w1", [[float("nan")] * 8] * 8),
+            ("w1", [[float("inf")] * 8] * 8),
+            ("w2", [[1.0, 2.0]]),
+            ("w2", [1.0] * 8),
+            ("class_weights", [[1.0, 2.0, 3.0]]),
+        ],
+    )
+    def test_checkpoint_bad_array(self, tmp_path, data_csv, checkpoint, capsys, key, value):
+        # The fixture's model is linear, 8 -> 8: w2 needs 8 columns, as do
+        # the class weights. Non-finite weights are refused, not scored.
+        doc = json.loads(checkpoint.read_text())
+        doc[key] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        rc = main(
+            ["eval", "--checkpoint", str(broken), "--data", str(data_csv),
+             "--out-dir", str(tmp_path / "r")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error:invalid-input:checkpoint {key}")
+        assert not (tmp_path / "r").exists()
+
+    def test_scatter_without_usable_anchor_is_strict_json(self, tmp_path, checkpoint):
+        singletons = tmp_path / "singletons.csv"
+        assert main(
+            ["gen", "--classes", "6", "--per-class", "1", "--dim", "8", "--seed", "2",
+             "-o", str(singletons)]
+        ) == 0
+        out = tmp_path / "evalrun"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                ["eval", "--checkpoint", str(checkpoint), "--data", str(singletons),
+                 "--ks", "1", "--scatter", "--out-dir", str(out)]
+            )
+        assert rc == 0
+        (run_dir,) = run_dirs(out)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((run_dir / "metrics.json").read_text(), parse_constant=reject)
+        assert doc["concentration"] is None
+        assert doc["n_scatter_points"] == 0
+        assert doc["recall_at_k"] == {"1": 0.0}
+        metrics = (run_dir / "metrics.csv").read_text()
+        assert "concentration" not in metrics and "nan" not in metrics
+        assert (run_dir / "scatter.csv").read_text() == "sn_max,sp_min\n"
+
     def test_dimension_mismatch(self, tmp_path, checkpoint, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("label,f0,f1\n0,1.0,0.0\n1,0.0,1.0\n")
@@ -226,6 +287,88 @@ class TestEval:
         )
         assert rc == 1
         assert "error:invalid-input:" in capsys.readouterr().err
+
+
+def _drop_key(doc, key, data):
+    del doc[key]
+
+
+def _as_matrix(value):
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    return arr if arr.ndim == 2 and arr.size else None
+
+
+def _reshape(doc, key, data):
+    arr = _as_matrix(doc[key])
+    if arr is not None:
+        shapes = {
+            "flatten": arr.ravel(),
+            "transpose": arr.T,
+            "drop_row": arr[1:],
+            "drop_col": arr[:, 1:],
+            "wrap": arr[None],
+        }
+        doc[key] = shapes[data.draw(st.sampled_from(sorted(shapes)))].tolist()
+
+
+def _non_finite(doc, key, data):
+    arr = _as_matrix(doc[key])
+    if arr is not None:
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+        doc[key] = arr.tolist()
+
+
+def _retype(doc, key, data):
+    doc[key] = data.draw(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-3, 3),
+            st.floats(allow_nan=False),
+            st.text(max_size=3),
+            st.lists(st.text(max_size=2), max_size=3),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+        )
+    )
+
+
+class TestCheckpointFuzz:
+    """Drop keys, reshape arrays, insert NaN or inf, or change a value's
+    type: eval ends with exit 0, or exit 1 and an error: line, never with
+    an exception."""
+
+    KEYS = ["format", "din", "embed_dim", "hidden", "n_classes", "w1", "w2",
+            "class_weights", "config"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_never_tracebacks(self, data_csv, checkpoint, data):
+        doc = json.loads(checkpoint.read_text())
+        # A hidden layer and class weights give every array key an array to mutate.
+        doc.update(hidden=8, w2=np.eye(8).tolist(), n_classes=2,
+                   class_weights=[[0.5] * 8, [-0.5] * 8])
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from([k for k in self.KEYS if k in doc]))
+            mutate = data.draw(st.sampled_from([_drop_key, _reshape, _non_finite, _retype]))
+            mutate(doc, key, data)
+        with tempfile.TemporaryDirectory() as work:
+            mutant = f"{work}/mutant.json"
+            with open(mutant, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(
+                    ["eval", "--checkpoint", mutant, "--data", str(data_csv), "--ks", "1,2",
+                     "--scatter", "--out-dir", f"{work}/runs"]
+                )
+        assert rc in (0, 1)
+        if rc == 1:
+            assert err.getvalue().startswith("error:")
 
 
 class TestGradfield:

@@ -112,6 +112,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="lacks keys \\['w2'\\]"):
             load_checkpoint(path)
 
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format": "pairsim-ckpt-v0"}\n')

@@ -44,6 +44,13 @@ class TestInitModel:
         mean_off_diag = (sims.sum() - 100) / (100 * 99)
         assert abs(mean_off_diag) < 0.3
 
+    def test_overflowing_embedding_rejected(self):
+        # Finite weights and features whose product overflows to inf.
+        model = init_model(0, din=4, embed_dim=4)
+        model.w1 = np.full((4, 4), 1e308)
+        with pytest.raises(ValueError, match="non-finite embedding"):
+            model.embed(np.ones((3, 4)))
+
 
 class TestPkSample:
     def test_batch_size(self, small_dataset):

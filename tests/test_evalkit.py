@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pairsim.dataio import ClusterSpec, gen_clusters
+from pairsim import evalkit
+from pairsim.dataio import ClusterSpec, LabeledDataset, gen_clusters
 from pairsim.engine import TrainConfig, init_model
 from pairsim.evalkit import (
+    ROW_BLOCK,
     MetricsReport,
     recall_at_k,
     similarity_scatter,
@@ -12,6 +17,26 @@ from pairsim.evalkit import (
     write_report_csv,
     write_sweep_csv,
 )
+from reference import hardest_pairs, recall_at_k_bruteforce
+
+
+def tied_embeddings(rng, n):
+    """Small integer embeddings whose cosines are computed exactly.
+
+    Each row is s * (+-1, +-1, +-1, +-1) or s * (+-1 at one position),
+    s in {1, 2, 3}: unit rows hold only +-1/2, +-1 and 0, so every cosine
+    is exactly 0, +-1/2 or +-1 whatever the summation order, and exact ties
+    are common.
+    """
+    emb = rng.choice([-1.0, 1.0], size=(n, 4)) * rng.integers(1, 4, size=(n, 1))
+    single = rng.random(n) < 0.5
+    keep = rng.integers(0, 4, size=n)
+    emb[single] *= np.arange(4) == keep[single, None]
+    return emb
+
+
+def some_ks(rng, n):
+    return sorted({1, n - 1, *(int(k) for k in rng.integers(1, n, size=3))})
 
 
 class TestRecallAtK:
@@ -63,6 +88,35 @@ class TestRecallAtK:
         emb = np.array([[1.0, 0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="degenerate feature"):
             recall_at_k(emb, [0, 1], [1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        emb = np.array([[1.0, 0], [0.5, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite embedding"):
+            recall_at_k(emb, [0, 0, 1], [1])
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 40, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK - 7]
+    )
+    def test_matches_bruteforce_ranking_with_ties(self, n):
+        # Labels drawn from about n/2 classes leave many singleton queries.
+        rng = np.random.default_rng(n)
+        emb = tied_embeddings(rng, n)
+        labels = rng.integers(0, n // 2 + 1, size=n)
+        ks = some_ks(rng, n)
+        assert recall_at_k(emb, labels, ks) == recall_at_k_bruteforce(emb, labels, ks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), block=st.integers(1, 9))
+    def test_block_edges_match_bruteforce(self, seed, n, block):
+        rng = np.random.default_rng(seed)
+        emb = tied_embeddings(rng, n)
+        labels = rng.integers(0, n // 2 + 1, size=n)
+        ks = some_ks(rng, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evalkit, "ROW_BLOCK", block)
+            got = recall_at_k(emb, labels, ks)
+        assert got == recall_at_k_bruteforce(emb, labels, ks)
 
 
 class TestTarAtFar:
@@ -124,6 +178,26 @@ class TestSimilarityScatter:
         assert result.skipped == 5
         assert result.points.size == 0
 
+    def test_matches_masked_reference_with_skipped_anchors(self):
+        # Two blocks of rows; classes 0 and 1 are singletons and get skipped.
+        n = ROW_BLOCK + 37
+        rng = np.random.default_rng(11)
+        labels = np.concatenate([[0, 1], rng.integers(2, 40, size=n - 2)])
+        ds = LabeledDataset(rng.standard_normal((n, 12)), labels)
+        model = init_model(4, din=12, embed_dim=6)
+        result = similarity_scatter(model, ds)
+        want, skipped = hardest_pairs(model.embed(ds.features), labels)
+        assert result.skipped == skipped >= 2
+        assert result.points.shape == want.shape
+        np.testing.assert_allclose(result.points, want, rtol=0, atol=1e-12)
+
+    def test_single_class_has_no_negatives(self):
+        ds = LabeledDataset(np.eye(4), [3, 3, 3, 3])
+        model = init_model(0, din=4, embed_dim=4)
+        result = similarity_scatter(model, ds)
+        assert result.skipped == 4
+        assert result.points.shape == (0, 2)
+
     def test_hardest_pair_selection(self):
         ds = gen_clusters(ClusterSpec(3, 6, 16, noise_sigma=0.2, seed=9))
         model = init_model(1, din=16, embed_dim=8)
@@ -134,6 +208,40 @@ class TestSimilarityScatter:
         pos0 = (ds.labels == ds.labels[0]) & (np.arange(18) != 0)
         assert result.points[0, 0] == pytest.approx(np.max(sim[0, neg0]))
         assert result.points[0, 1] == pytest.approx(np.min(sim[0, pos0]))
+
+
+class TestMemory:
+    """Neither metric holds an n x n float matrix: the peak stays below half
+    of one (n^2 * 8 / 2 bytes)."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def gallery(self):
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((self.N, 32))
+        labels = np.repeat(np.arange(self.N // 20), 20)
+        return LabeledDataset(features, labels), init_model(0, din=32, embed_dim=32)
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_recall_at_k_peak(self, gallery):
+        ds, model = gallery
+        emb = model.embed(ds.features)
+        peak = self.peak_bytes(recall_at_k, emb, ds.labels, [1, 2, 4, 8])
+        assert peak < self.N**2 * 8 / 2
+
+    def test_similarity_scatter_peak(self, gallery):
+        ds, model = gallery
+        peak = self.peak_bytes(similarity_scatter, model, ds)
+        assert peak < self.N**2 * 8 / 2
 
 
 class TestSweep:
