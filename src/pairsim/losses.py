@@ -132,13 +132,16 @@ def row_softmax(logits: np.ndarray):
 
 def log1p_sum_exp(terms: np.ndarray) -> float:
     """log(1 + sum_k exp(terms_k)), shifted so no exponential overflows."""
+    # Array methods rather than np.max / np.sum: this runs once per loss
+    # evaluation, and the module-level wrappers cost more than the
+    # reduction itself on short rows.
     terms = np.asarray(terms, dtype=np.float64)
-    shift = float(np.max(terms))
+    shift = float(terms.max())
     if shift <= 0.0:
         # log1p keeps tiny losses strictly positive instead of rounding to 0.
-        return math.log1p(float(np.sum(np.exp(terms))))
+        return math.log1p(float(np.exp(terms).sum()))
     return shift + math.log(
-        math.exp(-shift) + float(np.sum(np.exp(terms - shift)))
+        math.exp(-shift) + float(np.exp(terms - shift).sum())
     )
 
 
@@ -164,10 +167,12 @@ def am_softmax_loss(
     """
     if kind is SimilarityKind.INNER_PRODUCT and not (p.gamma == 1.0 and p.m == 0.0):
         raise ValueError("inner_product kind requires gamma=1 and m=0")
-    sn = np.atleast_1d(np.asarray(sn, dtype=np.float64))
+    sn = np.asarray(sn, dtype=np.float64)
+    if sn.ndim == 0:
+        sn = sn.reshape(1)
     if sn.size < 1:
         raise ValueError("empty similarity side")
-    if not (math.isfinite(sp) and np.all(np.isfinite(sn))):
+    if not (math.isfinite(sp) and np.isfinite(sn).all()):
         raise ValueError("non-finite similarity score")
     # -log softmax rearranged: log(1 + sum_j exp(gamma sn_j - gamma (sp - m))).
     # The subtraction happens inside the logits, a different float path than

@@ -43,8 +43,14 @@ class SimilarityGroup:
     sn_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        sp = np.atleast_1d(np.asarray(self.sp, dtype=np.float64))
-        sn = np.atleast_1d(np.asarray(self.sn, dtype=np.float64))
+        # reshape rather than np.atleast_1d: groups are built once per loss
+        # evaluation, and the wrapper costs more than the check.
+        sp = np.asarray(self.sp, dtype=np.float64)
+        sn = np.asarray(self.sn, dtype=np.float64)
+        if sp.ndim == 0:
+            sp = sp.reshape(1)
+        if sn.ndim == 0:
+            sn = sn.reshape(1)
         if sp.ndim > 2 or sp.shape[:-1] != sn.shape[:-1]:
             raise ValueError("sp and sn must be 1-D, or B x K and B x L rows")
         if sp.shape[-1] < 1 or sn.shape[-1] < 1:
