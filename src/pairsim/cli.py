@@ -38,7 +38,7 @@ def _check_config_value(action: argparse.Action, key: str, value) -> None:
     """Reject a config value that the flag's own parser could not produce."""
     kind = bool if action.nargs == 0 else (action.type or str)
     allowed = (int, float) if kind is float else (kind,)
-    ok = (value is None and action.default is None) or (
+    ok = (value is None and action.default is None and not action.required) or (
         isinstance(value, allowed) and isinstance(value, bool) == (kind is bool)
     )
     if not ok or (action.choices is not None and value not in action.choices):
@@ -184,10 +184,7 @@ def _cmd_eval(args) -> None:
                 float(scatter.points.mean()),
                 float(scatter.points.var(axis=0).sum()),
             )
-        with open(run_dir / "scatter.csv", "w", encoding="utf-8") as fh:
-            fh.write("sn_max,sp_min\n")
-            for sn, sp in scatter.points:
-                fh.write(f"{float(sn)!r},{float(sp)!r}\n")
+        evalkit.write_scatter_csv(run_dir / "scatter.csv", scatter.points)
     evalkit.write_report_csv(run_dir / "metrics.csv", report)
     evalkit.write_report_json(run_dir / "metrics.json", report)
     print(f"wrote {run_dir}/metrics.csv")

@@ -21,11 +21,14 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "save_record",
+    "write_csv",
 ]
 
 CHECKPOINT_FORMAT = "pairsim-ckpt-v1"
 CHECKPOINT_KEYS = ("din", "embed_dim", "w1", "w2", "class_weights")
 RECORD_HEADER = "iter,mean_sp,mean_sn,loss,lr"
+# Rows that write_csv formats in one %-format pass; bounds the text held at once.
+CSV_ROW_BLOCK = 4096
 
 
 @dataclass
@@ -80,13 +83,31 @@ def gen_clusters(spec: ClusterSpec) -> LabeledDataset:
     return LabeledDataset(features=features, labels=labels)
 
 
+def write_csv(path, header: str, row_format: str, rows, ids=None) -> None:
+    """Write ``header``, then one ``row_format`` line per row of ``rows``.
+
+    ``row_format`` holds one %-conversion per column and ends in a newline.
+    Cells reach it as Python scalars, so ``%r`` is the shortest round-trip
+    repr under any numpy version. ``ids``, if given, is an integer column
+    written exactly (never through float64) before the columns of ``rows``.
+    Rows are formatted CSV_ROW_BLOCK at a time, so the text held in memory
+    is bounded for any row count.
+    """
+    rows = np.asarray(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows.shape[0], CSV_ROW_BLOCK):
+            block = rows[start : start + CSV_ROW_BLOCK]
+            if ids is not None:
+                block_ids = ids[start : start + CSV_ROW_BLOCK].astype(object)
+                block = np.column_stack((block_ids, block))
+            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def save_dataset(path, dataset: LabeledDataset) -> None:
     din = dataset.features.shape[1]
     header = "label," + ",".join(f"f{i}" for i in range(din))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, header, "%d" + ",%r" * din + "\n", dataset.features, ids=dataset.labels)
 
 
 def load_dataset(path) -> LabeledDataset:
@@ -112,6 +133,8 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError(f"line {lineno}: {exc}") from None
         if label < 0:
             raise ValueError(f"line {lineno}: negative label {label}")
+        if label >= 2**63:
+            raise ValueError(f"line {lineno}: label {label} does not fit in int64")
         labels.append(label)
         features.append(row)
     return LabeledDataset(features=np.array(features), labels=np.array(labels))
@@ -179,11 +202,5 @@ def load_checkpoint(path, expect_din: int | None = None):
 
 def save_record(path, record) -> None:
     """Trajectory CSV: iter,mean_sp,mean_sn,loss,lr (lossless floats)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RECORD_HEADER + "\n")
-        for i in range(record.iteration.size):
-            fh.write(
-                f"{int(record.iteration[i])},"
-                f"{float(record.mean_sp[i])!r},{float(record.mean_sn[i])!r},"
-                f"{float(record.loss[i])!r},{float(record.lr[i])!r}\n"
-            )
+    columns = np.column_stack((record.mean_sp, record.mean_sn, record.loss, record.lr))
+    write_csv(path, RECORD_HEADER, "%d,%r,%r,%r,%r\n", columns, ids=record.iteration)

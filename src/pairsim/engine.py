@@ -139,8 +139,8 @@ def init_model(
     hidden: int | None = None,
 ) -> EmbeddingModel:
     """Uniform(-1, 1) / sqrt(fan_in) init, deterministic per seed."""
-    if din < 1 or embed_dim < 2:
-        raise ValueError("dims must satisfy Din >= 1 and D >= 2")
+    if din < 1 or embed_dim < 2 or (hidden is not None and hidden < 1):
+        raise ValueError("dims must satisfy Din >= 1, D >= 2 and hidden >= 1")
     rng = np.random.default_rng(seed)
 
     def layer(fan_out, fan_in):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import LabeledDataset
+from .dataio import LabeledDataset, write_csv
 
 # Query rows scored at once by recall_at_k and similarity_scatter.
 ROW_BLOCK = 256
@@ -26,6 +26,7 @@ __all__ = [
     "sweep",
     "write_report_csv",
     "write_report_json",
+    "write_scatter_csv",
     "write_sweep_csv",
 ]
 
@@ -179,6 +180,11 @@ def write_report_csv(path, report: MetricsReport) -> None:
         if report.concentration is not None:
             fh.write(f"concentration,mean,{report.concentration[0]!r}\n")
             fh.write(f"concentration,variance,{report.concentration[1]!r}\n")
+
+
+def write_scatter_csv(path, points: np.ndarray) -> None:
+    """Hardest-pair scatter CSV: one `sn_max,sp_min` line per point (lossless floats)."""
+    write_csv(path, "sn_max,sp_min", "%r,%r\n", points)
 
 
 def write_report_json(path, report: MetricsReport) -> None:

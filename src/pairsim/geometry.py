@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_csv
 from .grads import loss_grad
 from .losses import CircleParams, circle_weights
 from .simcore import SimilarityGroup
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 GRADIENT_FIELD_HEADER = "sn,sp,d_sn,d_sp,loss"
+GRADIENT_FIELD_ROW = "%.6g,%.6g,%.6g,%.6g,%.6g\n"
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,12 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("grid resolution must be >= 2 per axis")
-        if self.sn_range[0] >= self.sn_range[1] or self.sp_range[0] >= self.sp_range[1]:
-            raise ValueError("grid ranges must be non-empty intervals")
+        for name, (lo, hi) in (("sn_range", self.sn_range), ("sp_range", self.sp_range)):
+            # False for a NaN or infinite bound and for a width that overflows.
+            if not 0.0 < hi - lo < math.inf:
+                raise ValueError(
+                    f"grid {name} ({lo!r}, {hi!r}) must be a finite, non-empty interval"
+                )
 
 
 def gradient_field(loss_id: str, gamma: float, m: float, grid: GridSpec | None = None) -> np.ndarray:
@@ -106,7 +112,4 @@ def gradient_field(loss_id: str, gamma: float, m: float, grid: GridSpec | None =
 
 def write_gradient_field_csv(path, rows: np.ndarray) -> None:
     """Serialize a gradient field to CSV at 6 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(GRADIENT_FIELD_HEADER + "\n")
-        for sn, sp, d_sn, d_sp, loss in rows:
-            fh.write(f"{sn:.6g},{sp:.6g},{d_sn:.6g},{d_sp:.6g},{loss:.6g}\n")
+    write_csv(path, GRADIENT_FIELD_HEADER, GRADIENT_FIELD_ROW, rows)

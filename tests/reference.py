@@ -8,6 +8,10 @@ kernels against them; tests/test_simcore.py keeps the reference honest.
 The retrieval helpers rank and scan one query at a time over the whole
 gallery, independently of the row blocks and rank counting in
 ``evalkit``.
+
+The CSV writers format one row at a time with f-strings and ``repr``,
+independently of the block-wise ``%`` formatting in ``dataio.write_csv``;
+the program's writers must produce the same bytes.
 """
 
 from __future__ import annotations
@@ -104,3 +108,37 @@ def hardest_pairs(emb, labels):
     usable = positive.any(axis=1) & (~same).any(axis=1)
     points = np.column_stack([sn_max, sp_min])[usable]
     return points, int(np.count_nonzero(~usable))
+
+
+def write_gradient_field_csv(path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("sn,sp,d_sn,d_sp,loss\n")
+        for sn, sp, d_sn, d_sp, loss in rows:
+            fh.write(f"{sn:.6g},{sp:.6g},{d_sn:.6g},{d_sp:.6g},{loss:.6g}\n")
+
+
+def write_scatter_csv(path, points) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("sn_max,sp_min\n")
+        for sn, sp in points:
+            fh.write(f"{float(sn)!r},{float(sp)!r}\n")
+
+
+def save_record(path, record) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("iter,mean_sp,mean_sn,loss,lr\n")
+        for i in range(record.iteration.size):
+            fh.write(
+                f"{int(record.iteration[i])},"
+                f"{float(record.mean_sp[i])!r},{float(record.mean_sn[i])!r},"
+                f"{float(record.loss[i])!r},{float(record.lr[i])!r}\n"
+            )
+
+
+def save_dataset(path, dataset) -> None:
+    din = dataset.features.shape[1]
+    header = "label," + ",".join(f"f{i}" for i in range(din))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for label, row in zip(dataset.labels, dataset.features):
+            fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import warnings
 
@@ -125,7 +126,8 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:invalid-input:")
 
     @pytest.mark.parametrize(
-        "override", [{"iterations": "5"}, {"lr": True}, {"hidden": 2.5}, {"loss": "arcface"}]
+        "override",
+        [{"iterations": "5"}, {"lr": True}, {"hidden": 2.5}, {"loss": "arcface"}, {"data": None}],
     )
     def test_config_value_of_wrong_type(self, tmp_path, data_csv, capsys, override):
         cfg = tmp_path / "cfg.json"
@@ -289,6 +291,21 @@ class TestEval:
         assert "error:invalid-input:" in capsys.readouterr().err
 
 
+def _run_quietly(argv):
+    """main(argv) with its output captured; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_clean_exit(rc, err):
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def _drop_key(doc, key, data):
     del doc[key]
 
@@ -360,15 +377,121 @@ class TestCheckpointFuzz:
             mutant = f"{work}/mutant.json"
             with open(mutant, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                rc = main(
-                    ["eval", "--checkpoint", mutant, "--data", str(data_csv), "--ks", "1,2",
-                     "--scatter", "--out-dir", f"{work}/runs"]
-                )
-        assert rc in (0, 1)
-        if rc == 1:
-            assert err.getvalue().startswith("error:")
+            rc, err = _run_quietly(
+                ["eval", "--checkpoint", mutant, "--data", str(data_csv), "--ks", "1,2",
+                 "--scatter", "--out-dir", f"{work}/runs"]
+            )
+        _assert_clean_exit(rc, err)
+
+
+TRAIN_SMALL = ["--iterations", "2", "--p-classes", "2", "--k-samples", "2", "--embed-dim", "4"]
+
+CSV_CELLS = st.one_of(
+    st.sampled_from(["nan", "-inf", "inf", "1e999", "", " ", "x", "0x1", "1,5", "--1", "+2"]),
+    st.text(max_size=4),
+)
+CSV_LABELS = st.sampled_from(
+    ["-1", "1.5", "2.0", "1e3", " 1", "", "a", str(2**62), str(2**63), str(2**64), "-0"]
+)
+
+
+def _csv_mutations(lines, data):
+    """Apply one random edit, in place, to the lines of a dataset CSV."""
+    row = data.draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+    cells = lines[row].split(",")
+    col = data.draw(st.integers(0, len(cells) - 1))
+    kind = data.draw(st.sampled_from(
+        ["drop_cell", "drop_column", "extra_cell", "extra_column", "cell", "label",
+         "header", "blank_line", "drop_rows"]
+    ))
+    if kind == "drop_cell":
+        del cells[col]
+        lines[row] = ",".join(cells)
+    elif kind == "drop_column":
+        lines[:] = [",".join(c for j, c in enumerate(line.split(",")) if j != col)
+                    for line in lines]
+    elif kind == "extra_cell":
+        lines[row] += "," + data.draw(CSV_CELLS)
+    elif kind == "extra_column":
+        lines[:] = [lines[0] + ",extra"] + [line + ",0.5" for line in lines[1:]]
+    elif kind == "cell":
+        cells[col] = data.draw(CSV_CELLS)
+        lines[row] = ",".join(cells)
+    elif kind == "label":
+        cells[0] = data.draw(CSV_LABELS)
+        lines[row] = ",".join(cells)
+    elif kind == "header":
+        lines[0] = data.draw(st.sampled_from(
+            ["", "label", "lab,f0", "f0,label", lines[0] + ",f99", lines[0].rsplit(",", 1)[0]]
+        ))
+    elif kind == "blank_line":
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    else:
+        del lines[data.draw(st.integers(1, len(lines))):]
+
+
+class TestDatasetCsvFuzz:
+    """Drop or add cells and columns, write non-numeric, NaN or inf cells,
+    negative, float or oversized labels, edit the header or add blank
+    lines: train ends with exit 0, or exit 1 and an error: line."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dataset_never_tracebacks(self, data_csv, data):
+        lines = data_csv.read_text().splitlines()
+        for _ in range(data.draw(st.integers(1, 3))):
+            _csv_mutations(lines, data)
+        with tempfile.TemporaryDirectory() as work:
+            mutant = f"{work}/mutant.csv"
+            with open(mutant, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            rc, err = _run_quietly(
+                ["train", "--data", mutant, *TRAIN_SMALL, "--out-dir", f"{work}/runs"]
+            )
+        _assert_clean_exit(rc, err)
+
+
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(
+        [None, True, False, 0, 1, 2, 3, -1, 0.0, 0.5, -0.5, 1e308, math.nan, math.inf,
+         -math.inf, "", "circle", "am_softmax", "triplet", "class_level", "pair_wise", [1], {}]
+    ),
+    st.integers(-3, 3),
+    st.floats(),
+    st.text(max_size=3),
+)
+NOT_AN_OBJECT = ["[1, 2]", "3", "null", '"iterations"', "", "{", '{"iterations": 2,}']
+
+
+class TestConfigFuzz:
+    """Give train flags values of the wrong type, add unknown keys or
+    replace the document with a non-object: train ends with exit 0, or
+    exit 1 and an error: line."""
+
+    # The run-directory keys are left out: a fuzzed path could point anywhere.
+    KEYS = sorted(
+        set(vars(build_parser().parse_args(["train", "--data", "x"])))
+        - {"out_dir", "tag", "config"}
+    ) + ["unknown", "", "Iterations", "batch-size"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_never_tracebacks(self, data_csv, data):
+        doc = {"iterations": 2, "gamma": 64.0}
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc[data.draw(st.sampled_from(self.KEYS))] = data.draw(CONFIG_VALUES)
+        text = json.dumps(doc)
+        if data.draw(st.integers(0, 3)) == 0:
+            text = data.draw(st.sampled_from(NOT_AN_OBJECT))
+        with tempfile.TemporaryDirectory() as work:
+            config = f"{work}/config.json"
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            rc, err = _run_quietly(
+                ["train", "--data", str(data_csv), *TRAIN_SMALL, "--config", config,
+                 "--out-dir", f"{work}/runs"]
+            )
+        _assert_clean_exit(rc, err)
 
 
 class TestGradfield:
@@ -389,6 +512,18 @@ class TestGradfield:
         rc = main(["gradfield", "--resolution", "1", "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["--lo=-inf", "--hi=inf", "--lo=nan", "--hi=nan"])
+    def test_non_finite_range(self, tmp_path, capsys, bound):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["gradfield", bound, "--resolution", "5", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:invalid-input:grid sn_range")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
 
 class TestSweep:

@@ -73,6 +73,13 @@ class TestDatasetRoundTrip:
         with pytest.raises(ValueError, match="line 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("label", [2**63, 2**64])
+    def test_oversized_label_reports_line(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f0\n0,1.0\n{label},2.0\n")
+        with pytest.raises(ValueError, match="line 3: label .* int64"):
+            load_dataset(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

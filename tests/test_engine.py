@@ -44,6 +44,11 @@ class TestInitModel:
         mean_off_diag = (sims.sum() - 100) / (100 * 99)
         assert abs(mean_off_diag) < 0.3
 
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_empty_hidden_layer_rejected(self, hidden):
+        with pytest.raises(ValueError, match="hidden >= 1"):
+            init_model(0, din=4, embed_dim=4, hidden=hidden)
+
     def test_overflowing_embedding_rejected(self):
         # Finite weights and features whose product overflows to inf.
         model = init_model(0, din=4, embed_dim=4)

@@ -135,6 +135,22 @@ class TestGradientField:
         with pytest.raises(ValueError, match="resolution"):
             GridSpec(resolution=1)
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            {"sn_range": (-math.inf, 1.0)},
+            {"sp_range": (0.0, math.inf)},
+            {"sn_range": (math.nan, 1.0)},
+            {"sp_range": (0.0, math.nan)},
+            {"sn_range": (-1e308, 1e308)},  # finite bounds, infinite width
+            {"sp_range": (1.0, 0.0)},
+        ],
+    )
+    def test_range_validation_names_the_range(self, ranges):
+        (name,) = ranges
+        with pytest.raises(ValueError, match=f"grid {name} .* finite, non-empty interval"):
+            GridSpec(**ranges)
+
     def test_csv_format(self, tmp_path):
         rows = gradient_field("circle", 64.0, 0.25, GridSpec(resolution=2))
         path = tmp_path / "field.csv"
