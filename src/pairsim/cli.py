@@ -202,8 +202,8 @@ def _cmd_gradfield(args) -> None:
         "lo": args.lo,
         "hi": args.hi,
     }
-    run_dir = _run_dir(args.out_dir, args.tag or f"gradfield-{args.loss}", echo)
     rows = geometry.gradient_field(args.loss, args.gamma, args.m, grid)
+    run_dir = _run_dir(args.out_dir, args.tag or f"gradfield-{args.loss}", echo)
     geometry.write_gradient_field_csv(run_dir / "gradfield.csv", rows)
     print(f"wrote {run_dir}/gradfield.csv")
 

@@ -23,6 +23,7 @@ __all__ = [
     "TrainConfig",
     "RunRecord",
     "init_model",
+    "class_members",
     "pk_sample",
     "train_step",
     "train",
@@ -155,25 +156,40 @@ def init_model(
     return EmbeddingModel(w1=w1, w2=w2, class_weights=cw)
 
 
-def pk_sample(dataset: LabeledDataset, p: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices of P distinct classes x K distinct samples per class."""
-    classes = np.unique(dataset.labels)
+def class_members(labels) -> tuple[np.ndarray, list]:
+    """The distinct labels, ascending, and the row indices of each, ascending."""
+    classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return classes, np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+
+
+def pk_sample(
+    dataset: LabeledDataset, p: int, k: int, rng: np.random.Generator, members=None
+) -> np.ndarray:
+    """Indices of P distinct classes x K distinct samples per class.
+
+    ``members`` is ``class_members(dataset.labels)``, passed in so that a
+    training run groups the labels once; the draws are the same without it.
+    """
+    classes, groups = class_members(dataset.labels) if members is None else members
     if classes.size < p:
         raise ValueError(f"need {p} classes, dataset has {classes.size}")
-    chosen = rng.choice(classes, size=p, replace=False)
     out = []
-    for c in chosen:
-        members = np.flatnonzero(dataset.labels == c)
-        if members.size < k:
-            raise ValueError(f"class {c} has {members.size} samples, need {k}")
-        out.append(rng.choice(members, size=k, replace=False))
+    for c in rng.choice(classes.size, size=p, replace=False):
+        if groups[c].size < k:
+            raise ValueError(f"class {classes[c]} has {groups[c].size} samples, need {k}")
+        out.append(rng.choice(groups[c], size=k, replace=False))
     return np.concatenate(out)
 
 
-def train_step(model: EmbeddingModel, features, labels, config: TrainConfig, lr: float):
-    """One SGD step on a batch; returns (loss, mean_sp, mean_sn)."""
+def train_step(
+    model: EmbeddingModel, features, labels, config: TrainConfig, lr: float, buffers=None
+):
+    """One SGD step on a batch; returns (loss, mean_sp, mean_sn).
+
+    ``buffers`` is the dict a run keeps for ``grads.backprop_to_params``.
+    """
     param_grads, loss, mean_sp, mean_sn = grads.backprop_to_params(
-        model, features, labels, config.loss, config.gamma, config.m, config.paradigm
+        model, features, labels, config.loss, config.gamma, config.m, config.paradigm, buffers
     )
     if not np.isfinite(loss):
         raise RuntimeError(
@@ -193,25 +209,37 @@ def _lr_at(config: TrainConfig, iteration: int) -> float:
 
 
 def train(dataset: LabeledDataset, config: TrainConfig) -> RunRecord:
-    """Run the full training loop; deterministic per (dataset, config)."""
-    n_classes = int(np.max(dataset.labels)) + 1 if config.paradigm == "class_level" else None
+    """Run the full training loop; deterministic per (dataset, config).
+
+    Class-level training gives each distinct label one class-weight row,
+    in ascending label order, so the weights grow with the number of
+    classes, not with the largest label.
+    """
+    labels, n_classes, members = dataset.labels, None, None
+    if config.paradigm == "class_level":
+        # Dense class indices: the labels themselves when they are 0..N-1.
+        classes, labels = np.unique(dataset.labels, return_inverse=True)
+        n_classes = classes.size
+    else:
+        members = class_members(dataset.labels)
     model = init_model(
         config.seed, dataset.features.shape[1], config.embed_dim, n_classes, config.hidden
     )
     sampler = np.random.default_rng([config.seed, 0x5A])
+    buffers = {}
 
     iters = config.iterations
     rec = {k: np.empty(iters) for k in ("mean_sp", "mean_sn", "loss", "lr")}
     for it in range(iters):
         lr = _lr_at(config, it)
         if config.paradigm == "pair_wise":
-            idx = pk_sample(dataset, config.p_classes, config.k_samples, sampler)
+            idx = pk_sample(dataset, config.p_classes, config.k_samples, sampler, members)
         else:
             idx = sampler.choice(
                 dataset.features.shape[0], size=config.batch_size, replace=False
             )
         loss, mean_sp, mean_sn = train_step(
-            model, dataset.features[idx], dataset.labels[idx], config, lr
+            model, dataset.features[idx], labels[idx], config, lr, buffers
         )
         rec["mean_sp"][it], rec["mean_sn"][it] = mean_sp, mean_sn
         rec["loss"][it], rec["lr"][it] = loss, lr

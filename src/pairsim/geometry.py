@@ -96,7 +96,8 @@ def gradient_field(loss_id: str, gamma: float, m: float, grid: GridSpec | None =
     """Single-pair loss and gradients on a dense (sn, sp) grid.
 
     Rows are emitted row-major over (sn outer, sp inner) with columns
-    (sn, sp, d_sn, d_sp, loss).
+    (sn, sp, d_sn, d_sp, loss). A grid so far outside the cosine range
+    [-1, 1] that gamma times a score overflows is refused.
     """
     grid = grid or GridSpec()
     sn, sp = np.meshgrid(
@@ -106,8 +107,15 @@ def gradient_field(loss_id: str, gamma: float, m: float, grid: GridSpec | None =
     )
     # One anchor per grid point: B = resolution^2 rows with K = L = 1.
     sn, sp = sn.reshape(-1, 1), sp.reshape(-1, 1)
-    lg = loss_grad(loss_id, SimilarityGroup(sp=sp, sn=sn), gamma, m)
-    return np.column_stack((sn, sp, lg.d_sn, lg.d_sp, lg.value))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lg = loss_grad(loss_id, SimilarityGroup(sp=sp, sn=sn), gamma, m)
+    rows = np.column_stack((sn, sp, lg.d_sn, lg.d_sp, lg.value))
+    if not np.isfinite(rows).all():
+        raise ValueError(
+            f"the {loss_id} field at gamma {gamma!r} overflows on the grid "
+            f"sn_range {grid.sn_range!r}, sp_range {grid.sp_range!r}"
+        )
+    return rows
 
 
 def write_gradient_field_csv(path, rows: np.ndarray) -> None:

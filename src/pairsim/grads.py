@@ -77,18 +77,19 @@ def _pair_softmax(g: SimilarityGroup, un: np.ndarray, vp: np.ndarray):
     return value, -np.expm1(-value)
 
 
-def circle_grad(g: SimilarityGroup, p: CircleParams) -> LossGrad:
+def circle_grad(g: SimilarityGroup, p: CircleParams, out=None) -> LossGrad:
     """Detached-weight gradient of the reduced circle loss.
 
     d_sn_j = Z * softmax_j(weighted logits) * gamma * (sn_j + m)
     d_sp_i = Z * softmax_i(weighted logits) * gamma * (sp_i - 1 - m)
 
     Entries whose cut-off weight is zero contribute a logit of exactly 0
-    to the softmax normalization and receive a zero gradient.
+    to the softmax normalization and receive a zero gradient. ``out``, if
+    given, is an array shaped like sn that receives d_sn.
     """
     if not p.is_reduced:
         raise ValueError("gradients defined for reduced mode")
-    d_sn, d_sp = circle_logits(g, p)
+    d_sn, d_sp = circle_logits(g, p, out=out)
     value, z = _pair_softmax(g, d_sn, d_sp)
     scale = (z * p.gamma)[..., None]
     alpha_p, alpha_n = circle_weights(g, p)
@@ -99,9 +100,9 @@ def circle_grad(g: SimilarityGroup, p: CircleParams) -> LossGrad:
     return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
-def unified_grad(g: SimilarityGroup, p: UnifiedParams) -> LossGrad:
+def unified_grad(g: SimilarityGroup, p: UnifiedParams, out=None) -> LossGrad:
     """Exact gradient of the unified loss; |d_sp| = |d_sn| when K = L = 1."""
-    d_sn = g.sn + p.m
+    d_sn = np.add(g.sn, p.m, out=out)
     d_sn *= p.gamma
     d_sp = -p.gamma * g.sp
     value, z = _pair_softmax(g, d_sn, d_sp)
@@ -111,7 +112,7 @@ def unified_grad(g: SimilarityGroup, p: UnifiedParams) -> LossGrad:
     return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
-def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
+def triplet_grad(g: SimilarityGroup, m: float, out=None) -> LossGrad:
     """Subgradient of the hard-mining triplet loss.
 
     Inside the violating region each anchor's hardest pair gets (+1, -1);
@@ -125,7 +126,8 @@ def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
     hinge = np.take_along_axis(sn, hardest_n, -1) - np.take_along_axis(sp, hardest_p, -1) + m
     value = np.maximum(hinge[..., 0], 0.0)
     active = value[..., None] > HINGE_ACTIVE_TOL
-    d_sn = np.zeros_like(sn)
+    d_sn = np.empty_like(sn) if out is None else out
+    d_sn.fill(0.0)
     d_sp = np.zeros_like(sp)
     np.put_along_axis(d_sn, hardest_n, np.where(active, 1.0, 0.0), axis=-1)
     np.put_along_axis(d_sp, hardest_p, np.where(active, -1.0, 0.0), axis=-1)
@@ -133,18 +135,22 @@ def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
     return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
-def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float) -> LossGrad:
-    """Dispatch a loss id to its value-and-gradient evaluation."""
+def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float, out=None) -> LossGrad:
+    """Dispatch a loss id to its value-and-gradient evaluation.
+
+    ``out``, if given, is an array shaped like ``g.sn`` that the kernel
+    writes d_sn into; the returned ``d_sn`` is then ``out`` itself.
+    """
     if loss_id == "circle":
-        return circle_grad(g, CircleParams.reduced(gamma, m))
+        return circle_grad(g, CircleParams.reduced(gamma, m), out)
     if loss_id in ("unified", "am_softmax"):
-        return unified_grad(g, UnifiedParams(gamma, m))
+        return unified_grad(g, UnifiedParams(gamma, m), out)
     if loss_id == "normface":
-        return unified_grad(g, UnifiedParams(gamma, 0.0))
+        return unified_grad(g, UnifiedParams(gamma, 0.0), out)
     if loss_id == "softmax":
-        return unified_grad(g, UnifiedParams(1.0, 0.0))
+        return unified_grad(g, UnifiedParams(1.0, 0.0), out)
     if loss_id == "triplet":
-        return triplet_grad(g, m)
+        return triplet_grad(g, m, out)
     raise ValueError(
         f"unknown loss id {loss_id!r}; valid: circle, unified, am_softmax, "
         "normface, softmax, triplet"
@@ -228,13 +234,29 @@ def fd_check(
     return worst
 
 
-def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: float, paradigm: str):
+def _scratch(buffers: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The array ``buffers[key]``, replaced by a new one unless it has ``shape``."""
+    arr = buffers.get(key)
+    if arr is None or arr.shape != shape:
+        arr = buffers[key] = np.empty(shape, dtype)
+    return arr
+
+
+def backprop_to_params(
+    model, features, labels, loss_id: str, gamma: float, m: float, paradigm: str, buffers=None
+):
     """Mean batch loss, its parameter gradients, and batch similarity stats.
 
     Chains LossGrad entries through the cosine-similarity Jacobian and
     the embedding map. All reductions run in fixed index order, so the
     result is bit-reproducible. ``model`` must expose forward / backward
     in the EmbeddingModel sense (see engine module).
+
+    The class-level branch works in B x N arrays (scores, member mask,
+    d_sn). ``buffers``, a dict that a training run passes to every step,
+    keeps them between calls, so a run allocates them once; without it
+    they are fresh. The results are the same bits either way, and no
+    returned array is one of the buffers.
 
     Returns (param_grads dict, mean_loss, mean_sp, mean_sn).
     """
@@ -256,14 +278,18 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         w = model.class_weights
         wnorms = np.linalg.norm(w, axis=1)
         what = w / wnorms[:, None]
-        scores = np.clip(ehat @ what.T, -1.0, 1.0)
+        buffers = {} if buffers is None else buffers
+        shape = (batch, w.shape[0])
+        scores = np.matmul(ehat, what.T, out=_scratch(buffers, "scores", shape))
+        np.clip(scores, -1.0, 1.0, out=scores)
         # K = 1: sp is the target column; L = N - 1: sn is every other column.
         rows = np.arange(batch)
-        non_target = np.ones(scores.shape, dtype=bool)
+        non_target = _scratch(buffers, "non_target", shape, bool)
+        non_target.fill(True)
         non_target[rows, labels] = False
         group = SimilarityGroup(sp=scores[rows, labels][:, None], sn=scores, sn_mask=non_target)
-        lg = loss_grad(loss_id, group, gamma, m)
-        # In place: d_sn is the kernel's own B x N array, 0 at each target.
+        lg = loss_grad(loss_id, group, gamma, m, out=_scratch(buffers, "d_sn", shape))
+        # In place: d_sn is the d_sn buffer, 0 at each target.
         grad_s = lg.d_sn
         grad_s[rows, labels] = lg.d_sp[:, 0]
         grad_s /= batch

@@ -10,7 +10,11 @@ from (sp_i, sn_j):
 * circle:      gamma * (an_j * (sn_j - Dn) - ap_i * (sp_i - Dp)) with
                self-paced weights an, ap
 
-All evaluations are numerically stable for gamma up to 2**16.
+For scores in [-1, 1], no evaluation overflows for gamma up to 2**16. A
+value is positive while its largest pair logit stays above about -745;
+below that the exponential underflows float64 and the value is 0.0. For
+example, unified_loss at sp = 1, sn = -1, m = 0.2 (pair logit
+-1.8 * gamma) is 0.0 from gamma of about 414 up, 2**16 included.
 """
 
 from __future__ import annotations
@@ -193,15 +197,16 @@ def circle_weights(g: SimilarityGroup, p: CircleParams):
     return alpha_p, alpha_n
 
 
-def circle_logits(g: SimilarityGroup, p: CircleParams):
+def circle_logits(g: SimilarityGroup, p: CircleParams, out=None):
     """Weighted per-score logits (un_j, vp_i) entering the circle loss.
 
     un_j = gamma * an_j * (sn_j - Dn), vp_i = -gamma * ap_i * (sp_i - Dp).
     A cut-off weight of zero makes the corresponding logit exactly 0,
-    which is also the convention the analytic gradients use.
+    which is also the convention the analytic gradients use. ``out``, if
+    given, receives un.
     """
     alpha_p, alpha_n = circle_weights(g, p)
-    un = p.gamma * alpha_n * (g.sn - p.dn)
+    un = np.multiply(p.gamma * alpha_n, g.sn - p.dn, out=out)
     vp = -p.gamma * alpha_p * (g.sp - p.dp)
     return un, vp
 

@@ -12,9 +12,17 @@ gallery, independently of the row blocks and rank counting in
 The CSV writers format one row at a time with f-strings and ``repr``,
 independently of the block-wise ``%`` formatting in ``dataio.write_csv``;
 the program's writers must produce the same bytes.
+
+The dataset reader parses one line at a time with ``int`` and ``float``,
+the checkpoint writer is a plain ``json.dump``, and the P x K sampler
+regroups the labels on every call: the program's numpy reader, spliced
+checkpoint writer and once-per-run grouping must give the same arrays,
+bytes and draws.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -142,3 +150,68 @@ def save_dataset(path, dataset) -> None:
         fh.write(header + "\n")
         for label, row in zip(dataset.labels, dataset.features):
             fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def load_dataset(path):
+    """(features, labels) of a dataset CSV; errors name the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("no rows")
+    header = lines[0].split(",")
+    if header[0] != "label" or len(header) < 2:
+        raise ValueError("line 1: bad header, expected 'label,f0,...'")
+    width = len(header)
+    if not lines[1:]:
+        raise ValueError("no rows")
+    features, labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(f"line {lineno}: expected {width} columns, got {len(parts)}")
+        try:
+            label = int(parts[0])
+            row = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if label < 0:
+            raise ValueError(f"line {lineno}: negative label {label}")
+        if label >= 2**63:
+            raise ValueError(f"line {lineno}: label {label} does not fit in int64")
+        labels.append(label)
+        features.append(row)
+    return np.array(features), np.array(labels)
+
+
+def save_checkpoint(path, model, config_echo=None) -> None:
+    doc = {
+        "format": "pairsim-ckpt-v1",
+        "din": model.din,
+        "embed_dim": model.embed_dim,
+        "hidden": model.hidden,
+        "n_classes": model.n_classes,
+        "w1": model.w1.tolist(),
+        "w2": None if model.w2 is None else model.w2.tolist(),
+        "class_weights": None
+        if model.class_weights is None
+        else model.class_weights.tolist(),
+        "config": config_echo or {},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def pk_sample(labels, p: int, k: int, rng) -> np.ndarray:
+    """P distinct classes x K distinct samples, grouping the labels anew."""
+    classes = np.unique(labels)
+    if classes.size < p:
+        raise ValueError(f"need {p} classes, dataset has {classes.size}")
+    chosen = rng.choice(classes, size=p, replace=False)
+    out = []
+    for c in chosen:
+        members = np.flatnonzero(labels == c)
+        if members.size < k:
+            raise ValueError(f"class {c} has {members.size} samples, need {k}")
+        out.append(rng.choice(members, size=k, replace=False))
+    return np.concatenate(out)

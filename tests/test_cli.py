@@ -97,6 +97,20 @@ class TestTrain:
         assert lines[0] == "iter,mean_sp,mean_sn,loss,lr"
         assert len(lines) == 6
 
+    def test_class_level_with_a_huge_label(self, tmp_path, data_csv):
+        # One class-weight row per distinct label, not per label value.
+        lines = data_csv.read_text().splitlines()
+        lines[1] = "1000000000000," + lines[1].split(",", 1)[1]
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(data), "--paradigm", "class_level",
+                     "--loss", "am_softmax", "--iterations", "3", "--batch-size", "8",
+                     "--embed-dim", "4", "--out-dir", str(out)]) == 0
+        (run_dir,) = run_dirs(out)
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        assert doc["n_classes"] == 5 and len(doc["class_weights"]) == 5
+
     def test_config_file_overrides(self, tmp_path, data_csv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"iterations": 3, "loss": "am_softmax"}))
@@ -384,7 +398,8 @@ class TestCheckpointFuzz:
         _assert_clean_exit(rc, err)
 
 
-TRAIN_SMALL = ["--iterations", "2", "--p-classes", "2", "--k-samples", "2", "--embed-dim", "4"]
+TRAIN_SMALL = ["--iterations", "2", "--p-classes", "2", "--k-samples", "2", "--embed-dim", "4",
+               "--batch-size", "8"]
 
 CSV_CELLS = st.one_of(
     st.sampled_from(["nan", "-inf", "inf", "1e999", "", " ", "x", "0x1", "1,5", "--1", "+2"]),
@@ -433,7 +448,8 @@ def _csv_mutations(lines, data):
 class TestDatasetCsvFuzz:
     """Drop or add cells and columns, write non-numeric, NaN or inf cells,
     negative, float or oversized labels, edit the header or add blank
-    lines: train ends with exit 0, or exit 1 and an error: line."""
+    lines: train in either paradigm ends with exit 0, or exit 1 and an
+    error: line."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -441,12 +457,14 @@ class TestDatasetCsvFuzz:
         lines = data_csv.read_text().splitlines()
         for _ in range(data.draw(st.integers(1, 3))):
             _csv_mutations(lines, data)
+        paradigm = data.draw(st.sampled_from(["pair_wise", "class_level"]))
         with tempfile.TemporaryDirectory() as work:
             mutant = f"{work}/mutant.csv"
             with open(mutant, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
             rc, err = _run_quietly(
-                ["train", "--data", mutant, *TRAIN_SMALL, "--out-dir", f"{work}/runs"]
+                ["train", "--data", mutant, *TRAIN_SMALL, "--paradigm", paradigm,
+                 "--out-dir", f"{work}/runs"]
             )
         _assert_clean_exit(rc, err)
 
@@ -522,6 +540,21 @@ class TestGradfield:
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("error:invalid-input:grid sn_range")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("loss, bound", [("circle", "1e300"), ("am_softmax", "1e306")])
+    def test_overflowing_range(self, tmp_path, capsys, loss, bound):
+        # Finite, but gamma times a score overflows: refused, not scored as NaN.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["gradfield", "--loss", loss, f"--lo=-{bound}", f"--hi={bound}",
+                       "--resolution", "5", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:invalid-input:the {loss} field at gamma 256.0 overflows")
         assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 

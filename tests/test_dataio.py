@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
+from pairsim import dataio
 from pairsim.dataio import (
     ClusterSpec,
     LabeledDataset,
@@ -164,3 +167,151 @@ class TestLabeledDataset:
         features[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite feature in row 2"):
             LabeledDataset(features=features, labels=np.array([0, 1, 1]))
+
+
+def _loaded(load, path):
+    """What a dataset reader makes of ``path``: the dataset's bits, or its error."""
+    try:
+        ds = load(path)
+        if isinstance(ds, tuple):
+            ds = LabeledDataset(*ds)
+    except ValueError as exc:
+        return ("error", str(exc))
+    f, y = ds.features, ds.labels
+    return ("ok", f.dtype.str, f.shape, f.tobytes(), y.dtype.str, y.shape, y.tobytes())
+
+
+# Cells over the fast path's alphabet, and cells outside it that float()
+# or numpy's reader treat specially.
+PLAIN_CELLS = st.text(alphabet="0123456789+-.eE", max_size=6)
+ODD_CELLS = st.sampled_from(
+    ["#", "1#2", " 1.5", "1.5 ", "\t2", "1_0", "nan", "-nan", "inf", "1e999", "\x1f1.5",
+     "1.5\x1f", "\u0661", "0x1", "", "1,5"]
+)
+ODD_LABELS = st.sampled_from(
+    ["1.0", "+3", "-0", "-1", "1_0", " 2", "1e3", "", "#1", str(2**63 - 1), str(2**63),
+     str(2**64)]
+)
+
+
+def _edit_rows(lines, data):
+    """One random edit, in place, to the data lines of a dataset CSV."""
+    row = data.draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    kind = data.draw(st.sampled_from(
+        ["plain_cell", "odd_cell", "label", "comment", "blank", "drop_cell", "extra_cell"]
+    ))
+    if kind in ("plain_cell", "odd_cell"):
+        col = data.draw(st.integers(min(1, len(cells) - 1), len(cells) - 1))
+        cells[col] = data.draw(PLAIN_CELLS if kind == "plain_cell" else ODD_CELLS)
+    elif kind == "label":
+        cells[0] = data.draw(st.one_of(ODD_LABELS, PLAIN_CELLS))
+    elif kind == "comment":
+        lines.insert(row, "#" + lines[row])
+    elif kind == "blank":
+        lines.insert(row, data.draw(st.sampled_from(["", " ", ","])))
+    elif kind == "drop_cell":
+        del cells[data.draw(st.integers(0, len(cells) - 1))]
+    else:
+        cells.append(data.draw(st.one_of(PLAIN_CELLS, ODD_CELLS)))
+    if kind not in ("comment", "blank"):
+        lines[row] = ",".join(cells)
+
+
+class TestFastDatasetReader:
+    """load_dataset's numpy reader against the line-by-line reference."""
+
+    @staticmethod
+    def _write(path, ds):
+        save_dataset(path, ds)
+        return path.read_text().splitlines()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_or_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        ds = gen_clusters(ClusterSpec(3, 2, 3, seed=data.draw(st.integers(0, 3))))
+        ds.features[0] = [-0.0, 5e-324, 1e300]
+        lines = self._write(path, ds)
+        for _ in range(data.draw(st.integers(0, 3))):
+            _edit_rows(lines, data)
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        path.write_bytes((newline.join(lines) + newline).encode())
+        assert _loaded(load_dataset, path) == _loaded(reference.load_dataset, path)
+
+    def test_clean_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        ds = gen_clusters(ClusterSpec(4, 3, 5, seed=2))
+        ds.features[1, :4] = [-0.0, 5e-324, 1e300, 1e-05]
+        ds.labels[-1] = 2**63 - 1
+        path = tmp_path / "data.csv"
+        save_dataset(path, ds)
+
+        def refuse(rows, width):
+            raise AssertionError("the line parser ran")
+
+        monkeypatch.setattr(dataio, "_parse_rows", refuse)
+        assert _loaded(load_dataset, path) == _loaded(reference.load_dataset, path)
+        assert _loaded(load_dataset, path)[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0,1.0,2.0\n#1,1.5,2.0\n",  # a comment marker
+            "0,1.0,2.0\n\n1,1.5,2.0\n",  # a blank line
+            "0,1.0,2.0\r\n1,1.5,2.0\r\n",  # CRLF
+            "0,1.0,2.0\n1,1_0,2.0\n",
+            "0,1.0,2.0\n1, 1.5,2.0\n",
+            "0,1.0,2.0\n1,nan,2.0\n",
+            "0,1.0,2.0\n1,\x1f1.5,2.0\n",  # numpy's reader skips \x1f, float() does not
+            "0,1.0,2.0\n1.0,1.5,2.0\n",
+            "0,1.0,2.0\n+3,1.5,2.0\n",
+            "0,1.0,2.0\n-0,1.5,2.0\n",
+            "0,1.0,2.0\n-1,1.5,2.0\n",
+            f"0,1.0,2.0\n{2**63},1.5,2.0\n",
+            f"0,1.0,2.0\n{2**63 - 1},1.5,2.0\n",
+            "0,1.0,2.0\n1,1.5\n",  # ragged rows
+            "0,1.0,2.0\n1,1.5,2.0,3.0\n",
+            "0,1.0,2.0,3.0\n1,1.5\n",
+        ],
+    )
+    def test_listed_mutations(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(("label,f0,f1\n" + text).encode())
+        assert _loaded(load_dataset, path) == _loaded(reference.load_dataset, path)
+
+
+class TestCheckpointWriter:
+    """save_checkpoint writes the bytes of a plain json.dump."""
+
+    @pytest.mark.parametrize("hidden", [None, 6])
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    @pytest.mark.parametrize(
+        "config", [None, {}, {"loss": "circle", "gamma": 1e300, "data": "a\"b\\c\u00e9",
+                              "nested": {"z": [1, -0.0, None], "a": {}}}]
+    )
+    def test_bytes_match_json_dump(self, tmp_path, hidden, n_classes, config):
+        model = init_model(7, din=4, embed_dim=5, n_classes=n_classes, hidden=hidden)
+        model.w1[0, :3] = [-0.0, 5e-324, 1e300]
+        if n_classes is not None:
+            model.class_weights[-1, -2:] = [-1e-300, 2.0]
+        ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+        save_checkpoint(ours, model, config)
+        reference.save_checkpoint(theirs, model, config)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_single_column_matrix(self, tmp_path):
+        model = init_model(1, din=1, embed_dim=2, n_classes=2)
+        ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+        save_checkpoint(ours, model, {"k": 1})
+        reference.save_checkpoint(theirs, model, {"k": 1})
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("key", ["w1", "w2", "class_weights"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_refused(self, tmp_path, key, bad):
+        model = init_model(7, din=4, embed_dim=5, n_classes=3, hidden=6)
+        getattr(model, key)[1, 2] = bad
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=f"checkpoint {key} must be a non-empty, finite"):
+            save_checkpoint(path, model)
+        assert not path.exists()

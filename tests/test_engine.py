@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import reference
 from pairsim import grads
-from pairsim.dataio import ClusterSpec, gen_clusters
+from pairsim.dataio import ClusterSpec, LabeledDataset, gen_clusters
 from pairsim.engine import (
     EmbeddingModel,
     TrainConfig,
+    class_members,
     init_model,
     pk_sample,
     train,
@@ -83,6 +85,36 @@ class TestPkSample:
             pk_sample(small_dataset, 4, 9, rng)
         with pytest.raises(ValueError, match="need"):
             pk_sample(small_dataset, 7, 2, rng)
+
+
+class TestPkSampleGrouping:
+    """Labels grouped once per run give the draws of grouping them per call."""
+
+    @staticmethod
+    def _dataset(seed):
+        rng = np.random.default_rng(seed)
+        # Unsorted labels with gaps and unequal class sizes.
+        labels = rng.permutation(np.repeat([3, 7, 8, 20, 41, 50], [5, 6, 9, 5, 7, 8]))
+        return LabeledDataset(rng.standard_normal((labels.size, 2)), labels)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_match_the_per_call_sampler(self, seed):
+        ds = self._dataset(seed)
+        members = class_members(ds.labels)
+        ours, fresh, theirs = (np.random.default_rng([seed, 1]) for _ in range(3))
+        for _ in range(25):
+            want = reference.pk_sample(ds.labels, 4, 5, theirs)
+            np.testing.assert_array_equal(pk_sample(ds, 4, 5, ours, members), want)
+            np.testing.assert_array_equal(pk_sample(ds, 4, 5, fresh), want)
+
+    @pytest.mark.parametrize("p, k", [(6, 6), (7, 2)])
+    def test_same_error_as_the_per_call_sampler(self, p, k):
+        ds = self._dataset(5)
+        with pytest.raises(ValueError) as want:
+            reference.pk_sample(ds.labels, p, k, np.random.default_rng(9))
+        with pytest.raises(ValueError) as got:
+            pk_sample(ds, p, k, np.random.default_rng(9), class_members(ds.labels))
+        assert str(got.value) == str(want.value)
 
 
 class TestTrainStep:
@@ -219,6 +251,21 @@ class TestTrain:
         assert rec.lr[75] == pytest.approx(0.001)
         assert rec.lr[95] == pytest.approx(0.0001)
 
+    def test_class_level_weights_follow_distinct_labels(self):
+        # Labels relabelled in the same order train the same model, with
+        # one class-weight row per distinct label, however large.
+        ds = gen_clusters(ClusterSpec(4, 6, 8, seed=5))
+        sparse = LabeledDataset(ds.features, np.array([0, 7, 10**12, 2**62])[ds.labels])
+        config = TrainConfig(
+            paradigm="class_level", loss="am_softmax", gamma=16, m=0.2, iterations=10,
+            batch_size=8, embed_dim=4, seed=3,
+        )
+        dense, relabelled = train(ds, config), train(sparse, config)
+        assert relabelled.model.class_weights.shape == (4, 4)
+        np.testing.assert_array_equal(relabelled.model.class_weights, dense.model.class_weights)
+        np.testing.assert_array_equal(relabelled.model.w1, dense.model.w1)
+        np.testing.assert_array_equal(relabelled.loss, dense.loss)
+
     def test_class_level_l_is_n_minus_1(self):
         # One sample per class in class-level mode: every anchor sees N-1
         # between-class scores. The batch is one masked group; count each
@@ -231,9 +278,9 @@ class TestTrain:
         def members(scores, mask):
             return np.full(scores.shape[0], scores.shape[1]) if mask is None else mask.sum(axis=1)
 
-        def spy(loss_id, g, gamma, m):
+        def spy(loss_id, g, gamma, m, **kwargs):
             captured.extend(zip(members(g.sp, g.sp_mask), members(g.sn, g.sn_mask)))
-            return original(loss_id, g, gamma, m)
+            return original(loss_id, g, gamma, m, **kwargs)
 
         grads.loss_grad, old = spy, grads.loss_grad
         try:
