@@ -5,7 +5,6 @@ from .simcore import SimilarityGroup
 from .losses import (
     UnifiedParams,
     CircleParams,
-    SimilarityKind,
     unified_loss,
     am_softmax_loss,
     triplet_hard_loss,

@@ -20,6 +20,20 @@ from . import dataio, engine, evalkit, geometry
 __all__ = ["main", "build_parser"]
 
 
+class _UsageError(Exception):
+    """A malformed command line; ``main`` reports it as one error:usage: line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print usage and exit 2.
+
+    The subcommand parsers are of this class too.
+    """
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:8]
@@ -82,7 +96,7 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pairsim")
+    parser = _Parser(prog="pairsim")
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate a synthetic cluster dataset")
@@ -233,10 +247,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _apply_config_file(args, parser)
         _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"error:usage:{exc}", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error:invalid-input:{exc}", file=sys.stderr)
         return 1

@@ -50,10 +50,6 @@ class LabeledDataset:
         if not finite.all():
             raise ValueError(f"non-finite feature in row {int(np.argmin(finite))}")
 
-    @property
-    def n_classes(self) -> int:
-        return int(np.max(self.labels)) + 1
-
 
 @dataclass(frozen=True)
 class ClusterSpec:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import write_csv
 from .grads import loss_grad
-from .losses import CircleParams, circle_weights
+from .losses import CircleParams, circle_logits
 from .simcore import SimilarityGroup
 
 __all__ = [
@@ -64,13 +64,14 @@ def convergence_target(m: float) -> tuple[float, float]:
 
 
 def on_boundary(sn: float, sp: float, p: CircleParams, tol: float) -> bool:
-    """Whether |an * (sn - Dn) - ap * (sp - Dp)| <= tol at this point."""
+    """Whether |an * (sn - Dn) - ap * (sp - Dp)| <= tol at this point.
+
+    That difference is the sum of the two circle logits over gamma.
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    g = SimilarityGroup(sp=np.array([sp]), sn=np.array([sn]))
-    alpha_p, alpha_n = circle_weights(g, p)
-    logit = alpha_n[0] * (sn - p.dn) - alpha_p[0] * (sp - p.dp)
-    return abs(logit) <= tol
+    un, vp = circle_logits(SimilarityGroup(sp=np.array([sp]), sn=np.array([sn])), p)
+    return abs(un[0] + vp[0]) <= tol * p.gamma
 
 
 @dataclass(frozen=True)

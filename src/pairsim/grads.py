@@ -8,9 +8,11 @@ Training, gradient-field grids and the single-group API share the kernels.
 
 The circle-loss gradient follows the detached-weighting convention: the
 self-paced weights are treated as constants during back-propagation, so
-the per-score factor is gamma * (sn + m) rather than gamma * 2 * sn. A
-"full" finite-difference mode that differentiates through the weights
-exists for comparison only.
+the per-score factor is gamma * an_j for sn_j and -gamma * ap_i for sp_i,
+in reduced and general mode alike. In reduced mode that is
+gamma * (sn + m) rather than the gamma * 2 * sn of differentiating
+through the weights. A "full" finite-difference mode that does so exists
+for comparison only.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .losses import (
     circle_loss,
     circle_weights,
     fill_non_members,
-    log1p_sum_exp,
     row_softmax,
+    unified_logits,
     unified_loss,
 )
 from .simcore import SimilarityGroup
@@ -64,52 +66,48 @@ def _per_anchor(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _pair_softmax(g: SimilarityGroup, un: np.ndarray, vp: np.ndarray):
-    """(value, z) of log[1 + sum e^un * sum e^vp] for each anchor.
+def _pair_softmax_grad(g: SimilarityGroup, gamma, un, vp, slope_n, slope_p) -> LossGrad:
+    """Value, Z and gradients of log[1 + sum e^un * sum e^vp] for each anchor.
 
-    un and vp are scratch logits shaped like sn and sp; they are
-    overwritten with their softmax weights, 0 outside each anchor's
-    members. Z = 1 - exp(-value) is the sigmoid of the summed log-sum-exps.
+    un and vp are scratch logits shaped like sn and sp whose slopes,
+    with any weights held fixed, are gamma * slope_n in sn and
+    gamma * slope_p in sp. They are overwritten with the gradients
+    Z * softmax * gamma * slope, 0 outside each anchor's members.
+    Z = 1 - exp(-value) is the sigmoid of the summed log-sum-exps.
     """
     lse_n = row_softmax(fill_non_members(un, g.sn_mask, -np.inf))
     lse_p = row_softmax(fill_non_members(vp, g.sp_mask, -np.inf))
     value = np.logaddexp(0.0, lse_n + lse_p)
-    return value, -np.expm1(-value)
+    z = -np.expm1(-value)
+    scale = (z * gamma)[..., None]
+    un *= scale * slope_n
+    vp *= scale * slope_p
+    return LossGrad(value=_per_anchor(value), d_sp=vp, d_sn=un, z=_per_anchor(z))
 
 
 def circle_grad(g: SimilarityGroup, p: CircleParams, out=None) -> LossGrad:
-    """Detached-weight gradient of the reduced circle loss.
+    """Detached-weight gradient of the circle loss, reduced or general mode.
 
-    d_sn_j = Z * softmax_j(weighted logits) * gamma * (sn_j + m)
-    d_sp_i = Z * softmax_i(weighted logits) * gamma * (sp_i - 1 - m)
+    d_sn_j = Z * softmax_j(weighted logits) * gamma * an_j
+    d_sp_i = Z * softmax_i(weighted logits) * gamma * min(sp_i - Op, 0)
 
-    Entries whose cut-off weight is zero contribute a logit of exactly 0
-    to the softmax normalization and receive a zero gradient. ``out``, if
+    min(sp_i - Op, 0) is -ap_i written so that a cut-off weight gives
+    +0.0, not -0.0. A cut-off entry contributes a logit of exactly 0 to
+    the softmax normalization and receives a zero gradient. ``out``, if
     given, is an array shaped like sn that receives d_sn.
     """
-    if not p.is_reduced:
-        raise ValueError("gradients defined for reduced mode")
-    d_sn, d_sp = circle_logits(g, p, out=out)
-    value, z = _pair_softmax(g, d_sn, d_sp)
-    scale = (z * p.gamma)[..., None]
     alpha_p, alpha_n = circle_weights(g, p)
-    d_sn *= scale * (g.sn + p.m)
-    d_sn[alpha_n <= 0.0] = 0.0
-    d_sp *= scale * (g.sp - 1.0 - p.m)
-    d_sp[alpha_p <= 0.0] = 0.0
-    return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
+    un, vp = circle_logits(g, p, (alpha_p, alpha_n), out)
+    return _pair_softmax_grad(g, p.gamma, un, vp, alpha_n, np.minimum(g.sp - p.op, 0.0))
 
 
 def unified_grad(g: SimilarityGroup, p: UnifiedParams, out=None) -> LossGrad:
-    """Exact gradient of the unified loss; |d_sp| = |d_sn| when K = L = 1."""
-    d_sn = np.add(g.sn, p.m, out=out)
-    d_sn *= p.gamma
-    d_sp = -p.gamma * g.sp
-    value, z = _pair_softmax(g, d_sn, d_sp)
-    scale = (z * p.gamma)[..., None]
-    d_sn *= scale
-    d_sp *= -scale
-    return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
+    """Exact gradient of the unified loss; |d_sp| = |d_sn| when K = L = 1.
+
+    It is the circle kernel's rule with every weight fixed at 1.
+    """
+    un, vp = unified_logits(g, p, out)
+    return _pair_softmax_grad(g, p.gamma, un, vp, 1.0, -1.0)
 
 
 def triplet_grad(g: SimilarityGroup, m: float, out=None) -> LossGrad:
@@ -157,12 +155,6 @@ def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float, out=None
     )
 
 
-def _frozen_circle_forward(sp, sn, p: CircleParams, alpha_p, alpha_n) -> float:
-    un = p.gamma * alpha_n * (sn - p.dn)
-    vp = -p.gamma * alpha_p * (sp - p.dp)
-    return log1p_sum_exp(np.add.outer(un, vp).ravel())
-
-
 def fd_check(
     loss_id: str,
     g: SimilarityGroup,
@@ -188,16 +180,10 @@ def fd_check(
         if not isinstance(params, CircleParams):
             raise ValueError("circle fd_check needs CircleParams")
         analytic = circle_grad(g, params)
-        if mode == "frozen":
-            ap0, an0 = circle_weights(g, params)
+        held = circle_weights(g, params) if mode == "frozen" else None
 
-            def forward(sp, sn):
-                return _frozen_circle_forward(sp, sn, params, ap0, an0)
-
-        else:
-
-            def forward(sp, sn):
-                return circle_loss(SimilarityGroup(sp, sn), params)
+        def forward(sp, sn):
+            return circle_loss(SimilarityGroup(sp, sn), params, held)
 
         kink_p = np.abs(g.sp - params.op) <= eps
         kink_n = np.abs(g.sn - params.on) <= eps

@@ -19,7 +19,6 @@ example, unified_loss at sp = 1, sn = -1, m = 0.2 (pair logit
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .simcore import SimilarityGroup
 __all__ = [
     "UnifiedParams",
     "CircleParams",
-    "SimilarityKind",
     "unified_loss",
     "am_softmax_loss",
     "triplet_hard_loss",
@@ -43,11 +41,6 @@ __all__ = [
 # subgradient is 0 there. Keeps boundary grid points (where cancellation
 # leaves ~1e-17 residue) on the converged side.
 HINGE_ACTIVE_TOL = 1e-12
-
-
-class SimilarityKind(enum.Enum):
-    COSINE = "cosine"
-    INNER_PRODUCT = "inner_product"
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,10 @@ class CircleParams:
 
     Reduced mode ties all four geometry parameters to one relaxation
     factor m: Op = 1 + m, On = -m, Dp = 1 - m, Dn = m. Reduced mode is
-    the default entry point; the general parameterization requires
-    explicit opt-in via ``general``.
+    the default entry point; the general parameterization (Op > Dp,
+    Dn > On, including the margin-free Dp = Dn = 0) requires explicit
+    opt-in via ``general``. The forward loss, the analytic gradient and
+    ``fd_check`` accept either mode.
     """
 
     gamma: float
@@ -135,11 +130,10 @@ def row_softmax(logits: np.ndarray):
 
 
 def log1p_sum_exp(terms: np.ndarray) -> float:
-    """log(1 + sum_k exp(terms_k)), shifted so no exponential overflows."""
-    # Array methods rather than np.max / np.sum: this runs once per loss
-    # evaluation, and the module-level wrappers cost more than the
+    """log(1 + sum_k exp(terms_k)) of a float64 array, shifted so no exponential overflows."""
+    # Array methods rather than np.max / np.sum, and no np.asarray: this
+    # runs once per loss evaluation, and each wrapper costs more than the
     # reduction itself on short rows.
-    terms = np.asarray(terms, dtype=np.float64)
     shift = float(terms.max())
     if shift <= 0.0:
         # log1p keeps tiny losses strictly positive instead of rounding to 0.
@@ -149,28 +143,31 @@ def log1p_sum_exp(terms: np.ndarray) -> float:
     )
 
 
+def unified_logits(g: SimilarityGroup, p: UnifiedParams, out=None):
+    """Per-score logits (un_j, vp_i) = (gamma (sn_j + m), -gamma sp_i) of the unified loss.
+
+    ``out``, if given, receives un.
+    """
+    un = np.add(g.sn, p.m, out=out)
+    un *= p.gamma
+    return un, -p.gamma * g.sp
+
+
 def unified_loss(g: SimilarityGroup, p: UnifiedParams) -> float:
     """log[1 + sum_j exp(gamma(sn_j + m)) * sum_i exp(-gamma sp_i)]."""
-    pair_logits = np.add.outer(p.gamma * (g.sn + p.m), -p.gamma * g.sp)
-    return log1p_sum_exp(pair_logits.ravel())
+    un, vp = unified_logits(g, p)
+    return log1p_sum_exp(np.add.outer(un, vp).ravel())
 
 
-def am_softmax_loss(
-    sp: float,
-    sn,
-    p: UnifiedParams,
-    kind: SimilarityKind = SimilarityKind.COSINE,
-) -> float:
+def am_softmax_loss(sp: float, sn, p: UnifiedParams) -> float:
     """-log softmax form of the K=1 unified loss.
 
     Computed from the rearranged negative-log-softmax expression rather
     than by delegating to :func:`unified_loss`, so the algebraic-identity
     check between the two stays a genuine dual route. With m=0 this is
-    the NormFace loss; with kind=INNER_PRODUCT, gamma=1, m=0 it is plain
+    the NormFace loss; with gamma=1, m=0 on raw logits it is plain
     softmax cross-entropy.
     """
-    if kind is SimilarityKind.INNER_PRODUCT and not (p.gamma == 1.0 and p.m == 0.0):
-        raise ValueError("inner_product kind requires gamma=1 and m=0")
     sn = np.asarray(sn, dtype=np.float64)
     if sn.ndim == 0:
         sn = sn.reshape(1)
@@ -197,33 +194,31 @@ def circle_weights(g: SimilarityGroup, p: CircleParams):
     return alpha_p, alpha_n
 
 
-def circle_logits(g: SimilarityGroup, p: CircleParams, out=None):
+def circle_logits(g: SimilarityGroup, p: CircleParams, weights=None, out=None):
     """Weighted per-score logits (un_j, vp_i) entering the circle loss.
 
     un_j = gamma * an_j * (sn_j - Dn), vp_i = -gamma * ap_i * (sp_i - Dp).
-    A cut-off weight of zero makes the corresponding logit exactly 0,
-    which is also the convention the analytic gradients use. ``out``, if
-    given, receives un.
+    ``weights`` is an (ap, an) pair to hold fixed, as the detached
+    gradient does; by default they are ``circle_weights(g, p)``. A
+    cut-off weight of zero makes the corresponding logit exactly 0.
+    ``out``, if given, receives un.
     """
-    alpha_p, alpha_n = circle_weights(g, p)
+    alpha_p, alpha_n = circle_weights(g, p) if weights is None else weights
     un = np.multiply(p.gamma * alpha_n, g.sn - p.dn, out=out)
     vp = -p.gamma * alpha_p * (g.sp - p.dp)
     return un, vp
 
 
-def circle_loss(g: SimilarityGroup, p: CircleParams) -> float:
+def circle_loss(g: SimilarityGroup, p: CircleParams, weights=None) -> float:
     """log[1 + sum_j exp(un_j) * sum_i exp(vp_i)] with self-paced logits.
 
-    The margin-free variant is general mode with Dp = Dn = 0.
+    The margin-free variant is general mode with Dp = Dn = 0. ``weights``
+    holds (ap, an) fixed instead of recomputing them from the scores.
     """
-    un, vp = circle_logits(g, p)
+    un, vp = circle_logits(g, p, weights)
     return log1p_sum_exp(np.add.outer(un, vp).ravel())
 
 
 def unified_to_triplet_gap(g: SimilarityGroup, m: float, gamma: float) -> float:
     """|(1/gamma) * smooth max - hard max|; at most log(1 + K*L) / gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    pair_logits = gamma * np.add.outer(g.sn + m, -g.sp).ravel()
-    smooth = log1p_sum_exp(pair_logits) / gamma
-    return abs(smooth - triplet_hard_loss(g, m))
+    return abs(unified_loss(g, UnifiedParams(gamma, m)) / gamma - triplet_hard_loss(g, m))

@@ -18,6 +18,9 @@ the checkpoint writer is a plain ``json.dump``, and the P x K sampler
 regroups the labels on every call: the program's numpy reader, spliced
 checkpoint writer and once-per-run grouping must give the same arrays,
 bytes and draws.
+
+The reduced circle kernel keeps the m-form slopes that the program's
+alpha-form kernel replaced; in reduced mode the two must agree.
 """
 
 from __future__ import annotations
@@ -215,3 +218,36 @@ def pk_sample(labels, p: int, k: int, rng) -> np.ndarray:
             raise ValueError(f"class {c} has {members.size} samples, need {k}")
         out.append(rng.choice(members, size=k, replace=False))
     return np.concatenate(out)
+
+
+def reduced_circle_grad(g, p):
+    """(value, d_sp, d_sn, z) of the reduced circle loss in its m-form.
+
+    The slopes are written out for reduced mode, gamma * (sn + m) and
+    gamma * (sp - 1 - m), and cut-off entries are zeroed by hand, where
+    the program's kernel applies gamma * an and -gamma * ap in either
+    mode. The logits and the masked row softmax are computed as in the
+    program, so value, z and d_sn must agree bit for bit.
+    """
+    alpha_p = np.maximum(p.op - g.sp, 0.0)
+    alpha_n = np.maximum(g.sn - p.on, 0.0)
+    d_sn = p.gamma * alpha_n * (g.sn - p.dn)
+    d_sp = -p.gamma * alpha_p * (g.sp - p.dp)
+    lse = 0.0
+    for logits, mask in ((d_sn, g.sn_mask), (d_sp, g.sp_mask)):
+        if mask is not None:
+            np.copyto(logits, -np.inf, where=~mask)
+        shift = np.max(logits, axis=-1, keepdims=True)
+        logits -= shift
+        np.exp(logits, out=logits)
+        total = np.sum(logits, axis=-1, keepdims=True)
+        logits /= total
+        lse = lse + (shift + np.log(total))[..., 0]
+    value = np.logaddexp(0.0, lse)
+    z = -np.expm1(-value)
+    scale = (z * p.gamma)[..., None]
+    d_sn *= scale * (g.sn + p.m)
+    d_sn[alpha_n <= 0.0] = 0.0
+    d_sp *= scale * (g.sp - 1.0 - p.m)
+    d_sp[alpha_p <= 0.0] = 0.0
+    return value, d_sp, d_sn, z

@@ -52,8 +52,37 @@ class TestGen:
         assert other.read_bytes() == data_csv.read_bytes()
 
     def test_missing_output_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["gen", "--classes", "4", "--per-class", "6", "--dim", "8"])
+        assert main(["gen", "--classes", "4", "--per-class", "6", "--dim", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error:usage:the following arguments are required: -o/--output\n"
+        assert captured.out == ""
+
+
+class TestUsageErrors:
+    """A malformed command line exits 1 with one error:usage: line and no
+    usage block; --help still prints the usage and exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--data", "x.csv", "--iterations", "abc"],
+             "argument --iterations: invalid int value: 'abc'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["train", "--iterations", "3"], "the following arguments are required: --data"),
+        ],
+    )
+    def test_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:usage:" + message)
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pairsim train")
 
 
 class TestTrain:
@@ -168,10 +197,12 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:io:")
 
     def test_invalid_loss_lists_choices(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--data", "x.csv", "--loss", "arcface"])
-        err = capsys.readouterr().err
-        assert "circle" in err and "am_softmax" in err
+        assert main(["train", "--data", "x.csv", "--loss", "arcface"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:usage:argument --loss: invalid choice: 'arcface'")
+        assert "circle" in line and "am_softmax" in line
+        assert captured.out == ""
 
 
 @pytest.fixture(scope="module")

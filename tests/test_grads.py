@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairsim.engine import init_model
+from pairsim.geometry import GridSpec, gradient_field, write_gradient_field_csv
 from pairsim.grads import (
     backprop_to_params,
     circle_grad,
@@ -14,6 +16,7 @@ from pairsim.grads import (
 )
 from pairsim.losses import CircleParams, UnifiedParams, circle_loss, unified_loss
 from pairsim.simcore import SimilarityGroup
+import reference
 from reference import class_similarities, pairwise_similarities
 
 # mpmath (50 digits) evaluation of the closed-form gradient at A = (0.8, 0.8),
@@ -55,10 +58,18 @@ class TestCircleGrad:
         assert lg.d_sn[0] == pytest.approx(A_POINT_D_SN, rel=1e-14)
         assert lg.d_sp[0] == pytest.approx(A_POINT_D_SP, rel=1e-14)
 
-    def test_general_mode_rejected(self):
-        p = CircleParams.general(64, op=1.3, on=-0.3, dp=0.7, dn=0.3)
-        with pytest.raises(ValueError, match="reduced mode"):
-            circle_grad(group(0.5, 0.5), p)
+    def test_general_mode_single_pair(self):
+        # K = L = 1: the softmax weights are 1, so d_sn = Z gamma an and
+        # d_sp = -Z gamma ap with Z the sigmoid of un + vp.
+        p = CircleParams.general(2.0, op=1.3, on=-0.3, dp=0.7, dn=0.3)
+        lg = circle_grad(group(0.5, 0.6), p)
+        an, ap = 0.6 + 0.3, 1.3 - 0.5
+        logit = 2.0 * an * (0.6 - 0.3) - 2.0 * ap * (0.5 - 0.7)
+        z = 1.0 / (1.0 + math.exp(-logit))
+        assert lg.value == pytest.approx(math.log1p(math.exp(logit)), rel=1e-14)
+        assert lg.z == pytest.approx(z, rel=1e-14)
+        assert lg.d_sn[0] == pytest.approx(z * 2.0 * an, rel=1e-14)
+        assert lg.d_sp[0] == pytest.approx(-z * 2.0 * ap, rel=1e-14)
 
     def test_sign_contract(self):
         rng = np.random.default_rng(5)
@@ -139,6 +150,24 @@ class TestFdCheck:
                 for _ in range(40):
                     worst = max(worst, fd_check("circle", random_group(rng), p))
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("margin_free", [False, True])
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_circle_frozen_mode_agrees_in_general_mode(self, margin_free, data):
+        # Any Op > Dp and Dn > On; margin-free is Dp = Dn = 0.
+        dp, dn = (0.0, 0.0) if margin_free else (
+            data.draw(st.floats(-0.5, 1.0)), data.draw(st.floats(-0.5, 1.0))
+        )
+        p = CircleParams.general(
+            data.draw(st.floats(1.0, 64.0)),
+            op=dp + data.draw(st.floats(0.05, 1.0)),
+            on=dn - data.draw(st.floats(0.05, 1.0)),
+            dp=dp,
+            dn=dn,
+        )
+        g = random_group(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        assert fd_check("circle", g, p) <= 1e-6
 
     def test_unified_agrees(self):
         rng = np.random.default_rng(10)
@@ -441,3 +470,59 @@ class TestClassLevelBuffers:
             lg = loss_grad(loss_id, g, 32.0, 0.25, out=out)
             assert lg.d_sn is out
             assert out.tobytes() == loss_grad(loss_id, g, 32.0, 0.25).d_sn.tobytes()
+
+
+class TestReducedModePin:
+    """In reduced mode the alpha-form circle kernel reproduces the m-form
+    kernel it replaced: value, z and d_sn bit for bit, d_sp to 1e-14.
+
+    d_sp's slope is sp - Op in one form and (sp - 1) - m in the other, so
+    they differ by the rounding of Op = 1 + m, at most 2**-53 * |Op|.
+    Relative to sp - Op that stays below 1e-14 while every score is at
+    least 0.05 below Op, as cosines are for m >= 0.05. For m < 0.05 a
+    score can come arbitrarily close to Op, and the bound is that
+    rounding over |sp - Op|.
+    """
+
+    @staticmethod
+    def _assert_pinned(g, p, rtol=1e-14):
+        lg = circle_grad(g, p)
+        value, d_sp, d_sn, z = reference.reduced_circle_grad(g, p)
+        assert np.asarray(lg.value).tobytes() == value.tobytes()
+        assert np.asarray(lg.z).tobytes() == z.tobytes()
+        assert lg.d_sn.tobytes() == d_sn.tobytes()
+        assert np.all(np.abs(lg.d_sp - d_sp) <= rtol * np.abs(d_sp))
+        # Cut-off entries are +0.0: a -0.0 would print as -0 in gradfield.csv.
+        assert not np.any(np.signbit(lg.d_sn[g.sn + p.m <= 0.0]))
+        assert not np.any(np.signbit(lg.d_sp[g.sp >= p.op]))
+
+    def test_single_anchors(self):
+        rng = np.random.default_rng(41)
+        for gamma in (1.0, 64.0, 256.0):
+            for _ in range(1500):
+                p = CircleParams.reduced(gamma, rng.uniform(0.05, 0.5))
+                self._assert_pinned(random_group(rng), p)
+            for _ in range(500):
+                p = CircleParams.reduced(gamma, rng.uniform(-0.2, 0.05))
+                g = random_group(rng)
+                self._assert_pinned(g, p, 1e-14 + 2.0**-52 * p.op / np.abs(g.sp - p.op))
+        # Cut-offs on both sides, and scores exactly at the optima.
+        p = CircleParams.reduced(64.0, 0.25)
+        self._assert_pinned(group([0.5, 1.0, 1.25], [-0.9, -0.25, 0.5]), p)
+
+    @pytest.mark.parametrize("build", [_pairwise_batch, _class_level_batch])
+    def test_masked_batches(self, build):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            self._assert_pinned(build(rng), CircleParams.reduced(64.0, rng.uniform(0.05, 0.5)))
+
+    def test_gradfield_csv_bytes_kept(self, tmp_path):
+        p = CircleParams.reduced(256.0, 0.25)
+        rows = gradient_field("circle", p.gamma, p.m, GridSpec((-1.0, 1.0), (-1.0, 1.0), 101))
+        sn, sp = rows[:, :1], rows[:, 1:2]
+        value, d_sp, d_sn, _ = reference.reduced_circle_grad(SimilarityGroup(sp=sp, sn=sn), p)
+        write_gradient_field_csv(tmp_path / "field.csv", rows)
+        reference.write_gradient_field_csv(
+            tmp_path / "want.csv", np.column_stack((sn, sp, d_sn, d_sp, value))
+        )
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from pairsim.losses import (
     CircleParams,
-    SimilarityKind,
     UnifiedParams,
     am_softmax_loss,
     circle_loss,
@@ -84,16 +83,10 @@ class TestAmSoftmaxLoss:
         b = unified_loss(group(sp, sn), p)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
-    def test_inner_product_kind_restricted(self):
-        with pytest.raises(ValueError, match="inner_product"):
-            am_softmax_loss(0.5, [0.1], UnifiedParams(64, 0.35), SimilarityKind.INNER_PRODUCT)
-
     def test_plain_softmax_degeneration(self):
         # gamma=1, m=0 on raw logits is softmax cross-entropy.
         logits = np.array([2.0, -1.0, 0.5])
-        v = am_softmax_loss(
-            logits[0], logits[1:], UnifiedParams(1, 0), SimilarityKind.INNER_PRODUCT
-        )
+        v = am_softmax_loss(logits[0], logits[1:], UnifiedParams(1, 0))
         expected = -math.log(math.exp(2.0) / np.sum(np.exp(logits)))
         assert v == pytest.approx(expected, rel=1e-14)
 
