@@ -118,6 +118,8 @@ class TrainConfig:
             raise ValueError("iterations must be non-negative")
         if self.paradigm == "pair_wise" and (self.p_classes < 2 or self.k_samples < 2):
             raise ValueError("pair_wise mode needs P >= 2 and K >= 2")
+        if self.paradigm == "class_level" and self.batch_size < 1:
+            raise ValueError("class_level mode needs batch size >= 1")
 
 
 @dataclass
@@ -181,15 +183,10 @@ def pk_sample(
     return np.concatenate(out)
 
 
-def train_step(
-    model: EmbeddingModel, features, labels, config: TrainConfig, lr: float, buffers=None
-):
-    """One SGD step on a batch; returns (loss, mean_sp, mean_sn).
-
-    ``buffers`` is the dict a run keeps for ``grads.backprop_to_params``.
-    """
+def train_step(model: EmbeddingModel, features, labels, config: TrainConfig, lr: float):
+    """One SGD step on a batch; returns (loss, mean_sp, mean_sn)."""
     param_grads, loss, mean_sp, mean_sn = grads.backprop_to_params(
-        model, features, labels, config.loss, config.gamma, config.m, config.paradigm, buffers
+        model, features, labels, config.loss, config.gamma, config.m, config.paradigm
     )
     if not np.isfinite(loss):
         raise RuntimeError(
@@ -226,7 +223,6 @@ def train(dataset: LabeledDataset, config: TrainConfig) -> RunRecord:
         config.seed, dataset.features.shape[1], config.embed_dim, n_classes, config.hidden
     )
     sampler = np.random.default_rng([config.seed, 0x5A])
-    buffers = {}
 
     iters = config.iterations
     rec = {k: np.empty(iters) for k in ("mean_sp", "mean_sn", "loss", "lr")}
@@ -238,9 +234,7 @@ def train(dataset: LabeledDataset, config: TrainConfig) -> RunRecord:
             idx = sampler.choice(
                 dataset.features.shape[0], size=config.batch_size, replace=False
             )
-        loss, mean_sp, mean_sn = train_step(
-            model, dataset.features[idx], labels[idx], config, lr, buffers
-        )
+        loss, mean_sp, mean_sn = train_step(model, dataset.features[idx], labels[idx], config, lr)
         rec["mean_sp"][it], rec["mean_sn"][it] = mean_sp, mean_sn
         rec["loss"][it], rec["lr"][it] = loss, lr
     return RunRecord(

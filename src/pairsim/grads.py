@@ -85,7 +85,7 @@ def _pair_softmax_grad(g: SimilarityGroup, gamma, un, vp, slope_n, slope_p) -> L
     return LossGrad(value=_per_anchor(value), d_sp=vp, d_sn=un, z=_per_anchor(z))
 
 
-def circle_grad(g: SimilarityGroup, p: CircleParams, out=None) -> LossGrad:
+def circle_grad(g: SimilarityGroup, p: CircleParams) -> LossGrad:
     """Detached-weight gradient of the circle loss, reduced or general mode.
 
     d_sn_j = Z * softmax_j(weighted logits) * gamma * an_j
@@ -93,24 +93,23 @@ def circle_grad(g: SimilarityGroup, p: CircleParams, out=None) -> LossGrad:
 
     min(sp_i - Op, 0) is -ap_i written so that a cut-off weight gives
     +0.0, not -0.0. A cut-off entry contributes a logit of exactly 0 to
-    the softmax normalization and receives a zero gradient. ``out``, if
-    given, is an array shaped like sn that receives d_sn.
+    the softmax normalization and receives a zero gradient.
     """
     alpha_p, alpha_n = circle_weights(g, p)
-    un, vp = circle_logits(g, p, (alpha_p, alpha_n), out)
+    un, vp = circle_logits(g, p, (alpha_p, alpha_n))
     return _pair_softmax_grad(g, p.gamma, un, vp, alpha_n, np.minimum(g.sp - p.op, 0.0))
 
 
-def unified_grad(g: SimilarityGroup, p: UnifiedParams, out=None) -> LossGrad:
+def unified_grad(g: SimilarityGroup, p: UnifiedParams) -> LossGrad:
     """Exact gradient of the unified loss; |d_sp| = |d_sn| when K = L = 1.
 
     It is the circle kernel's rule with every weight fixed at 1.
     """
-    un, vp = unified_logits(g, p, out)
+    un, vp = unified_logits(g, p)
     return _pair_softmax_grad(g, p.gamma, un, vp, 1.0, -1.0)
 
 
-def triplet_grad(g: SimilarityGroup, m: float, out=None) -> LossGrad:
+def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
     """Subgradient of the hard-mining triplet loss.
 
     Inside the violating region each anchor's hardest pair gets (+1, -1);
@@ -124,8 +123,7 @@ def triplet_grad(g: SimilarityGroup, m: float, out=None) -> LossGrad:
     hinge = np.take_along_axis(sn, hardest_n, -1) - np.take_along_axis(sp, hardest_p, -1) + m
     value = np.maximum(hinge[..., 0], 0.0)
     active = value[..., None] > HINGE_ACTIVE_TOL
-    d_sn = np.empty_like(sn) if out is None else out
-    d_sn.fill(0.0)
+    d_sn = np.zeros_like(sn)
     d_sp = np.zeros_like(sp)
     np.put_along_axis(d_sn, hardest_n, np.where(active, 1.0, 0.0), axis=-1)
     np.put_along_axis(d_sp, hardest_p, np.where(active, -1.0, 0.0), axis=-1)
@@ -133,22 +131,18 @@ def triplet_grad(g: SimilarityGroup, m: float, out=None) -> LossGrad:
     return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
-def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float, out=None) -> LossGrad:
-    """Dispatch a loss id to its value-and-gradient evaluation.
-
-    ``out``, if given, is an array shaped like ``g.sn`` that the kernel
-    writes d_sn into; the returned ``d_sn`` is then ``out`` itself.
-    """
+def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float) -> LossGrad:
+    """Dispatch a loss id to its value-and-gradient evaluation."""
     if loss_id == "circle":
-        return circle_grad(g, CircleParams.reduced(gamma, m), out)
+        return circle_grad(g, CircleParams.reduced(gamma, m))
     if loss_id in ("unified", "am_softmax"):
-        return unified_grad(g, UnifiedParams(gamma, m), out)
+        return unified_grad(g, UnifiedParams(gamma, m))
     if loss_id == "normface":
-        return unified_grad(g, UnifiedParams(gamma, 0.0), out)
+        return unified_grad(g, UnifiedParams(gamma, 0.0))
     if loss_id == "softmax":
-        return unified_grad(g, UnifiedParams(1.0, 0.0), out)
+        return unified_grad(g, UnifiedParams(1.0, 0.0))
     if loss_id == "triplet":
-        return triplet_grad(g, m, out)
+        return triplet_grad(g, m)
     raise ValueError(
         f"unknown loss id {loss_id!r}; valid: circle, unified, am_softmax, "
         "normface, softmax, triplet"
@@ -220,29 +214,13 @@ def fd_check(
     return worst
 
 
-def _scratch(buffers: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """The array ``buffers[key]``, replaced by a new one unless it has ``shape``."""
-    arr = buffers.get(key)
-    if arr is None or arr.shape != shape:
-        arr = buffers[key] = np.empty(shape, dtype)
-    return arr
-
-
-def backprop_to_params(
-    model, features, labels, loss_id: str, gamma: float, m: float, paradigm: str, buffers=None
-):
+def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: float, paradigm: str):
     """Mean batch loss, its parameter gradients, and batch similarity stats.
 
     Chains LossGrad entries through the cosine-similarity Jacobian and
     the embedding map. All reductions run in fixed index order, so the
     result is bit-reproducible. ``model`` must expose forward / backward
     in the EmbeddingModel sense (see engine module).
-
-    The class-level branch works in B x N arrays (scores, member mask,
-    d_sn). ``buffers``, a dict that a training run passes to every step,
-    keeps them between calls, so a run allocates them once; without it
-    they are fresh. The results are the same bits either way, and no
-    returned array is one of the buffers.
 
     Returns (param_grads dict, mean_loss, mean_sp, mean_sn).
     """
@@ -264,18 +242,15 @@ def backprop_to_params(
         w = model.class_weights
         wnorms = np.linalg.norm(w, axis=1)
         what = w / wnorms[:, None]
-        buffers = {} if buffers is None else buffers
-        shape = (batch, w.shape[0])
-        scores = np.matmul(ehat, what.T, out=_scratch(buffers, "scores", shape))
+        scores = ehat @ what.T
         np.clip(scores, -1.0, 1.0, out=scores)
         # K = 1: sp is the target column; L = N - 1: sn is every other column.
         rows = np.arange(batch)
-        non_target = _scratch(buffers, "non_target", shape, bool)
-        non_target.fill(True)
+        non_target = np.ones(scores.shape, dtype=bool)
         non_target[rows, labels] = False
         group = SimilarityGroup(sp=scores[rows, labels][:, None], sn=scores, sn_mask=non_target)
-        lg = loss_grad(loss_id, group, gamma, m, out=_scratch(buffers, "d_sn", shape))
-        # In place: d_sn is the d_sn buffer, 0 at each target.
+        lg = loss_grad(loss_id, group, gamma, m)
+        # In place: d_sn is the kernel's own B x N array, 0 at each target.
         grad_s = lg.d_sn
         grad_s[rows, labels] = lg.d_sp[:, 0]
         grad_s /= batch

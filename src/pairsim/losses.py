@@ -143,12 +143,9 @@ def log1p_sum_exp(terms: np.ndarray) -> float:
     )
 
 
-def unified_logits(g: SimilarityGroup, p: UnifiedParams, out=None):
-    """Per-score logits (un_j, vp_i) = (gamma (sn_j + m), -gamma sp_i) of the unified loss.
-
-    ``out``, if given, receives un.
-    """
-    un = np.add(g.sn, p.m, out=out)
+def unified_logits(g: SimilarityGroup, p: UnifiedParams):
+    """Per-score logits (un_j, vp_i) = (gamma (sn_j + m), -gamma sp_i) of the unified loss."""
+    un = g.sn + p.m
     un *= p.gamma
     return un, -p.gamma * g.sp
 
@@ -194,17 +191,16 @@ def circle_weights(g: SimilarityGroup, p: CircleParams):
     return alpha_p, alpha_n
 
 
-def circle_logits(g: SimilarityGroup, p: CircleParams, weights=None, out=None):
+def circle_logits(g: SimilarityGroup, p: CircleParams, weights=None):
     """Weighted per-score logits (un_j, vp_i) entering the circle loss.
 
     un_j = gamma * an_j * (sn_j - Dn), vp_i = -gamma * ap_i * (sp_i - Dp).
     ``weights`` is an (ap, an) pair to hold fixed, as the detached
     gradient does; by default they are ``circle_weights(g, p)``. A
     cut-off weight of zero makes the corresponding logit exactly 0.
-    ``out``, if given, receives un.
     """
     alpha_p, alpha_n = circle_weights(g, p) if weights is None else weights
-    un = np.multiply(p.gamma * alpha_n, g.sn - p.dn, out=out)
+    un = p.gamma * alpha_n * (g.sn - p.dn)
     vp = -p.gamma * alpha_p * (g.sp - p.dp)
     return un, vp
 

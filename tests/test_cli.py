@@ -204,6 +204,18 @@ class TestTrain:
         assert "circle" in line and "am_softmax" in line
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--axis", "m", "--values", "0.1"]])
+    def test_class_level_zero_batch_size(self, tmp_path, data_csv, capsys, command):
+        out = tmp_path / "r"
+        rc = main(
+            [*command, "--data", str(data_csv), "--paradigm", "class_level",
+             "--batch-size", "0", "--out-dir", str(out)]
+        )
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error:invalid-input:class_level mode needs batch size >= 1"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory, data_csv):

@@ -278,9 +278,9 @@ class TestTrain:
         def members(scores, mask):
             return np.full(scores.shape[0], scores.shape[1]) if mask is None else mask.sum(axis=1)
 
-        def spy(loss_id, g, gamma, m, **kwargs):
+        def spy(loss_id, g, gamma, m):
             captured.extend(zip(members(g.sp, g.sp_mask), members(g.sn, g.sn_mask)))
-            return original(loss_id, g, gamma, m, **kwargs)
+            return original(loss_id, g, gamma, m)
 
         grads.loss_grad, old = spy, grads.loss_grad
         try:
@@ -348,3 +348,9 @@ class TestConfigValidation:
             TrainConfig(paradigm="pair_wise", p_classes=1)
         with pytest.raises(ValueError, match="P >= 2"):
             TrainConfig(paradigm="pair_wise", k_samples=1)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_class_level_batch_minimum(self, batch_size):
+        with pytest.raises(ValueError, match="batch size >= 1"):
+            TrainConfig(paradigm="class_level", batch_size=batch_size)
+        TrainConfig(paradigm="pair_wise", batch_size=batch_size)

@@ -434,44 +434,6 @@ class TestBackpropToParams:
         assert abs(radial) < 1e-12
 
 
-class TestClassLevelBuffers:
-    """A run's reused B x N buffers give the bits of fresh ones."""
-
-    @pytest.mark.parametrize("loss_id", ["am_softmax", "circle", "triplet", "softmax"])
-    def test_reused_buffers_match_fresh_ones(self, loss_id):
-        rng = np.random.default_rng(31)
-        features = rng.standard_normal((40, 6))
-        labels = rng.integers(0, 9, 40)
-        fresh = init_model(31, din=6, embed_dim=5, n_classes=9, hidden=4)
-        reused = init_model(31, din=6, embed_dim=5, n_classes=9, hidden=4)
-        buffers = {}
-        for step in range(5):
-            idx = rng.choice(40, size=12, replace=False)
-            args = (features[idx], labels[idx], loss_id, 16.0, 0.25, "class_level")
-            want = backprop_to_params(fresh, *args)
-            got = backprop_to_params(reused, *args, buffers)
-            if step == 0:
-                ids = {key: id(buf) for key, buf in buffers.items()}
-            assert {key: id(buf) for key, buf in buffers.items()} == ids
-            assert got[1:] == want[1:]
-            assert sorted(got[0]) == sorted(want[0])
-            for name, grad in got[0].items():
-                assert grad.tobytes() == want[0][name].tobytes()
-                assert not any(np.shares_memory(grad, buf) for buf in buffers.values())
-            fresh.apply_gradients(want[0], 0.1)
-            reused.apply_gradients(got[0], 0.1)
-        assert sorted(buffers) == ["d_sn", "non_target", "scores"]
-
-    def test_kernel_writes_d_sn_into_out(self):
-        rng = np.random.default_rng(32)
-        g = SimilarityGroup(sp=rng.uniform(-1, 1, (4, 1)), sn=rng.uniform(-1, 1, (4, 6)))
-        for loss_id in ("circle", "am_softmax", "triplet"):
-            out = np.full((4, 6), np.nan)
-            lg = loss_grad(loss_id, g, 32.0, 0.25, out=out)
-            assert lg.d_sn is out
-            assert out.tobytes() == loss_grad(loss_id, g, 32.0, 0.25).d_sn.tobytes()
-
-
 class TestReducedModePin:
     """In reduced mode the alpha-form circle kernel reproduces the m-form
     kernel it replaced: value, z and d_sn bit for bit, d_sp to 1e-14.
