@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its flags and input files, and
 run outputs land in a directory named by the user tag plus a hash of the
 resolved configuration, so reruns overwrite their own artifacts byte for
-byte.
+byte. The directory is made only once the command's work has succeeded.
 """
 
 from __future__ import annotations
@@ -172,10 +172,10 @@ def _cmd_gen(args) -> None:
 def _cmd_train(args) -> None:
     dataset = dataio.load_dataset(args.data)
     config = _train_config(args)
+    record = engine.train(dataset, config)
     echo = asdict(config)
     echo["data"] = args.data
     run_dir = _run_dir(args.out_dir, args.tag or f"train-{args.loss}", echo)
-    record = engine.train(dataset, config)
     dataio.save_checkpoint(run_dir / "checkpoint.json", record.model, echo)
     dataio.save_record(run_dir / "record.csv", record)
     print(f"wrote {run_dir}/checkpoint.json and record.csv")
@@ -185,20 +185,17 @@ def _cmd_eval(args) -> None:
     dataset = dataio.load_dataset(args.data)
     model, _ = dataio.load_checkpoint(args.checkpoint, expect_din=dataset.features.shape[1])
     ks = [int(v) for v in args.ks.split(",") if v]
-    echo = {"checkpoint": args.checkpoint, "data": args.data, "ks": ks, "scatter": args.scatter}
-    run_dir = _run_dir(args.out_dir, args.tag or "eval", echo)
     emb = model.embed(dataset.features)
     report = evalkit.MetricsReport(recall_at_k=evalkit.recall_at_k(emb, dataset.labels, ks))
     report.rank1 = report.recall_at_k.get(1)
     if args.scatter:
-        scatter = evalkit.similarity_scatter(model, dataset)
-        report.pair_scatter = scatter.points
-        if scatter.points.size:
-            report.concentration = (
-                float(scatter.points.mean()),
-                float(scatter.points.var(axis=0).sum()),
-            )
-        evalkit.write_scatter_csv(run_dir / "scatter.csv", scatter.points)
+        points = report.pair_scatter = evalkit.similarity_scatter(model, dataset).points
+        if points.size:
+            report.concentration = (float(points.mean()), float(points.var(axis=0).sum()))
+    echo = {"checkpoint": args.checkpoint, "data": args.data, "ks": ks, "scatter": args.scatter}
+    run_dir = _run_dir(args.out_dir, args.tag or "eval", echo)
+    if args.scatter:
+        evalkit.write_scatter_csv(run_dir / "scatter.csv", points)
     evalkit.write_report_csv(run_dir / "metrics.csv", report)
     evalkit.write_report_json(run_dir / "metrics.json", report)
     print(f"wrote {run_dir}/metrics.csv")
@@ -225,13 +222,11 @@ def _cmd_gradfield(args) -> None:
 def _cmd_sweep(args) -> None:
     dataset = dataio.load_dataset(args.data)
     values = [float(v) for v in args.values.split(",") if v]
-    if not values:
-        raise ValueError("sweep needs at least one value")
     config = _train_config(args)
+    rows = evalkit.sweep(dataset, config, args.axis, values)
     echo = asdict(config)
     echo.update({"data": args.data, "axis": args.axis, "values": values})
     run_dir = _run_dir(args.out_dir, args.tag or f"sweep-{args.axis}", echo)
-    rows = evalkit.sweep(dataset, config, args.axis, values)
     evalkit.write_sweep_csv(run_dir / "sweep.csv", args.axis, rows)
     print(f"wrote {run_dir}/sweep.csv")
 

@@ -213,7 +213,10 @@ def train(dataset: LabeledDataset, config: TrainConfig) -> RunRecord:
     classes, not with the largest label.
     """
     labels, n_classes, members = dataset.labels, None, None
+    rows = dataset.features.shape[0]
     if config.paradigm == "class_level":
+        if config.batch_size > rows:
+            raise ValueError(f"class_level batch size {config.batch_size} > {rows} dataset rows")
         # Dense class indices: the labels themselves when they are 0..N-1.
         classes, labels = np.unique(dataset.labels, return_inverse=True)
         n_classes = classes.size
@@ -231,9 +234,7 @@ def train(dataset: LabeledDataset, config: TrainConfig) -> RunRecord:
         if config.paradigm == "pair_wise":
             idx = pk_sample(dataset, config.p_classes, config.k_samples, sampler, members)
         else:
-            idx = sampler.choice(
-                dataset.features.shape[0], size=config.batch_size, replace=False
-            )
+            idx = sampler.choice(rows, size=config.batch_size, replace=False)
         loss, mean_sp, mean_sn = train_step(model, dataset.features[idx], labels[idx], config, lr)
         rec["mean_sp"][it], rec["mean_sn"][it] = mean_sp, mean_sn
         rec["loss"][it], rec["lr"][it] = loss, lr

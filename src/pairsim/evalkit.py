@@ -203,7 +203,5 @@ def write_report_json(path, report: MetricsReport) -> None:
 
 
 def write_sweep_csv(path, axis: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{axis},recall_at_1\n")
-        for value, r1 in rows:
-            fh.write(f"{value!r},{r1!r}\n")
+    """`axis,recall_at_1` CSV of sweep rows (lossless floats)."""
+    write_csv(path, f"{axis},recall_at_1", "%r,%r\n", rows)

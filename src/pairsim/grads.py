@@ -26,12 +26,11 @@ from .losses import (
     CircleParams,
     UnifiedParams,
     circle_logits,
-    circle_loss,
     circle_weights,
     fill_non_members,
+    require_one_anchor,
     row_softmax,
     unified_logits,
-    unified_loss,
 )
 from .simcore import SimilarityGroup
 
@@ -163,55 +162,44 @@ def fd_check(
     semantics of the analytic gradient. mode="full" differentiates
     through the weights and is expected to disagree away from sn = m.
     Entries within eps of a cut-off kink are skipped (subgradient
-    ambiguity). Errors are scaled by max(1, |analytic|, |fd|).
+    ambiguity). Errors are scaled by max(1, |analytic|, |fd|); a NaN
+    error gives NaN. The 2(K + L) probes of the one unmasked anchor
+    (each score +-eps) form one batched group, valued in one kernel call.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     if mode not in ("frozen", "full"):
         raise ValueError("mode must be 'frozen' or 'full'")
+    require_one_anchor(g, "fd_check")
 
     if loss_id == "circle":
         if not isinstance(params, CircleParams):
             raise ValueError("circle fd_check needs CircleParams")
-        analytic = circle_grad(g, params)
-        held = circle_weights(g, params) if mode == "frozen" else None
-
-        def forward(sp, sn):
-            return circle_loss(SimilarityGroup(sp, sn), params, held)
-
-        kink_p = np.abs(g.sp - params.op) <= eps
-        kink_n = np.abs(g.sn - params.on) <= eps
+        kernel = circle_grad
+        kinks = np.abs(np.concatenate((g.sp - params.op, g.sn - params.on))) <= eps
     elif loss_id in ("unified", "am_softmax"):
         if not isinstance(params, UnifiedParams):
             raise ValueError("unified fd_check needs UnifiedParams")
-        analytic = unified_grad(g, params)
-
-        def forward(sp, sn):
-            return unified_loss(SimilarityGroup(sp, sn), params)
-
-        kink_p = np.zeros(g.k, dtype=bool)
-        kink_n = np.zeros(g.l, dtype=bool)
+        kernel, kinks = unified_grad, False
     else:
         raise ValueError(f"fd_check does not support loss id {loss_id!r}")
 
-    worst = 0.0
-    for side, kinks, grad in (("sp", kink_p, analytic.d_sp), ("sn", kink_n, analytic.d_sn)):
-        base = g.sp if side == "sp" else g.sn
-        for idx in range(base.size):
-            if kinks[idx]:
-                continue
-            hi = base.copy()
-            lo = base.copy()
-            hi[idx] += eps
-            lo[idx] -= eps
-            if side == "sp":
-                fd = (forward(hi, g.sn) - forward(lo, g.sn)) / (2 * eps)
-            else:
-                fd = (forward(g.sp, hi) - forward(g.sp, lo)) / (2 * eps)
-            a = float(grad[idx])
-            err = abs(fd - a) / max(1.0, abs(a), abs(fd))
-            worst = max(worst, err)
-    return worst
+    # Row r of the probes moves score r of (sp, sn) up by eps, row n + r down.
+    n = g.k + g.l
+    scores = np.concatenate((g.sp, g.sn))
+    steps = np.eye(n) * eps
+    probes = np.concatenate((scores + steps, scores - steps))
+    batch = SimilarityGroup(probes[:, : g.k], probes[:, g.k :])
+    if loss_id == "circle" and mode == "frozen":
+        un, vp = circle_logits(batch, params, circle_weights(g, params))
+        values = _pair_softmax_grad(batch, params.gamma, un, vp, 0.0, 0.0).value
+    else:
+        values = kernel(batch, params).value
+    analytic = kernel(g, params)
+    fd = (values[:n] - values[n:]) / (2 * eps)
+    a = np.concatenate((analytic.d_sp, analytic.d_sn))
+    err = np.abs(fd - a) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1.0)
+    return float(np.max(np.where(kinks, 0.0, err)))
 
 
 def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: float, paradigm: str):

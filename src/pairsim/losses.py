@@ -15,6 +15,9 @@ value is positive while its largest pair logit stays above about -745;
 below that the exponential underflows float64 and the value is 0.0. For
 example, unified_loss at sp = 1, sn = -1, m = 0.2 (pair logit
 -1.8 * gamma) is 0.0 from gamma of about 414 up, 2**16 included.
+
+Each forward loss takes one unmasked anchor. Batched and masked groups
+go to the row-wise kernels in the grads module.
 """
 
 from __future__ import annotations
@@ -129,6 +132,15 @@ def row_softmax(logits: np.ndarray):
     return (shift + np.log(total))[..., 0]
 
 
+def require_one_anchor(g: SimilarityGroup, name: str) -> None:
+    """Refuse a batched or masked group: ``name`` takes one unmasked anchor."""
+    if g.sp.ndim != 1 or g.sp_mask is not None or g.sn_mask is not None:
+        raise ValueError(
+            f"{name} takes one unmasked anchor; the kernels circle_grad, "
+            "unified_grad and triplet_grad take batched and masked groups"
+        )
+
+
 def log1p_sum_exp(terms: np.ndarray) -> float:
     """log(1 + sum_k exp(terms_k)) of a float64 array, shifted so no exponential overflows."""
     # Array methods rather than np.max / np.sum, and no np.asarray: this
@@ -151,7 +163,8 @@ def unified_logits(g: SimilarityGroup, p: UnifiedParams):
 
 
 def unified_loss(g: SimilarityGroup, p: UnifiedParams) -> float:
-    """log[1 + sum_j exp(gamma(sn_j + m)) * sum_i exp(-gamma sp_i)]."""
+    """log[1 + sum_j exp(gamma(sn_j + m)) * sum_i exp(-gamma sp_i)] of one anchor."""
+    require_one_anchor(g, "unified_loss")
     un, vp = unified_logits(g, p)
     return log1p_sum_exp(np.add.outer(un, vp).ravel())
 
@@ -168,6 +181,8 @@ def am_softmax_loss(sp: float, sn, p: UnifiedParams) -> float:
     sn = np.asarray(sn, dtype=np.float64)
     if sn.ndim == 0:
         sn = sn.reshape(1)
+    elif sn.ndim > 1:
+        raise ValueError("am_softmax_loss takes one anchor's sn; unified_grad takes batches")
     if sn.size < 1:
         raise ValueError("empty similarity side")
     if not (math.isfinite(sp) and np.isfinite(sn).all()):
@@ -180,7 +195,8 @@ def am_softmax_loss(sp: float, sn, p: UnifiedParams) -> float:
 
 
 def triplet_hard_loss(g: SimilarityGroup, m: float) -> float:
-    """max(0, max_j sn_j - min_i sp_i + m): triplet loss with hard mining."""
+    """max(0, max_j sn_j - min_i sp_i + m): triplet loss with hard mining, one anchor."""
+    require_one_anchor(g, "triplet_hard_loss")
     return max(0.0, float(np.max(g.sn) - np.min(g.sp) + m))
 
 
@@ -205,13 +221,13 @@ def circle_logits(g: SimilarityGroup, p: CircleParams, weights=None):
     return un, vp
 
 
-def circle_loss(g: SimilarityGroup, p: CircleParams, weights=None) -> float:
-    """log[1 + sum_j exp(un_j) * sum_i exp(vp_i)] with self-paced logits.
+def circle_loss(g: SimilarityGroup, p: CircleParams) -> float:
+    """log[1 + sum_j exp(un_j) * sum_i exp(vp_i)] with self-paced logits, one anchor.
 
-    The margin-free variant is general mode with Dp = Dn = 0. ``weights``
-    holds (ap, an) fixed instead of recomputing them from the scores.
+    The margin-free variant is general mode with Dp = Dn = 0.
     """
-    un, vp = circle_logits(g, p, weights)
+    require_one_anchor(g, "circle_loss")
+    un, vp = circle_logits(g, p)
     return log1p_sum_exp(np.add.outer(un, vp).ravel())
 
 

@@ -627,6 +627,45 @@ class TestSweep:
         assert "at least one value" in capsys.readouterr().err
 
 
+class TestNoRunDirOnFailure:
+    """A command that fails exits 1 with one error line and makes no run directory."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--paradigm", "class_level", "--batch-size", "50"],
+             "class_level batch size 50 > 24 dataset rows"),
+            (["sweep", "--axis", "m", "--values", "0.1", "--paradigm", "class_level",
+              "--batch-size", "50"], "class_level batch size 50 > 24 dataset rows"),
+            (["train", "--p-classes", "6"], "need 6 classes, dataset has 4"),
+            (["sweep", "--axis", "m", "--values", "0.1", "--p-classes", "6"],
+             "need 6 classes, dataset has 4"),
+        ],
+        ids=["train-batch-size", "sweep-batch-size", "train-p-classes", "sweep-p-classes"],
+    )
+    def test_training_fails(self, tmp_path, data_csv, capsys, argv, message):
+        out = tmp_path / "r"
+        rc = main([*argv, "--data", str(data_csv), "--iterations", "3", "--out-dir", str(out)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error:invalid-input:" + message
+        assert not out.exists()
+
+    def test_eval_embedding_fails(self, tmp_path, data_csv, checkpoint, capsys):
+        doc = json.loads(checkpoint.read_text())
+        doc["w1"] = [[1e308] * 8] * 8
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["eval", "--checkpoint", str(huge), "--data", str(data_csv),
+                       "--scatter", "--out-dir", str(out)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:invalid-input:degenerate feature:")
+        assert not out.exists()
+
+
 class TestRunDirNaming:
     def test_tag_prefix_and_hash_stability(self, tmp_path):
         out = tmp_path / "gf"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pairsim import grads
 from pairsim.engine import init_model
 from pairsim.geometry import GridSpec, gradient_field, write_gradient_field_csv
 from pairsim.grads import (
@@ -194,6 +195,64 @@ class TestFdCheck:
     def test_triplet_unsupported(self):
         with pytest.raises(ValueError):
             fd_check("triplet", group(0.5, 0.5), UnifiedParams(1, 0))
+
+    def test_nan_in_analytic_gradient_is_reported(self, monkeypatch):
+        # A NaN error must not vanish into the max over scores.
+        real = grads.unified_grad
+
+        def spy(g, p):
+            lg = real(g, p)
+            if g.sp.ndim == 1:
+                lg.d_sn[-1] = np.nan
+            return lg
+
+        monkeypatch.setattr(grads, "unified_grad", spy)
+        g = group([0.4, 0.7], [0.1, 0.3, 0.5])
+        assert math.isnan(fd_check("unified", g, UnifiedParams(8, 0.25)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            SimilarityGroup(sp=[[0.5], [0.7]], sn=[[0.1, 0.9], [0.3, 0.8]]),
+            SimilarityGroup(sp=[0.5], sn=[0.1, 0.9], sn_mask=[True, False]),
+        ],
+        ids=["batched", "masked"],
+    )
+    @pytest.mark.parametrize(
+        "loss_id, p", [("unified", UnifiedParams(8, 0.25)), ("circle", CircleParams.reduced(8, 0.25))]
+    )
+    def test_one_unmasked_anchor_only(self, g, loss_id, p):
+        with pytest.raises(ValueError, match="fd_check takes one unmasked anchor"):
+            fd_check(loss_id, g, p)
+
+
+class TestKernelValueMatchesForwardLoss:
+    """fd_check differences the kernels' factored values; the forward
+    losses, pinned by mpmath oracles, pin those values in turn."""
+
+    @pytest.mark.parametrize("kind", ["unified", "reduced", "general", "margin_free"])
+    def test_random_single_anchors(self, kind):
+        rng = np.random.default_rng(12)
+        for _ in range(2_000):
+            g = random_group(rng)
+            gamma = rng.uniform(0.5, 512)
+            if kind == "unified":
+                p = UnifiedParams(gamma, rng.uniform(-0.2, 0.5))
+                kernel, forward = unified_grad(g, p).value, unified_loss(g, p)
+            else:
+                if kind == "reduced":
+                    p = CircleParams.reduced(gamma, rng.uniform(-0.2, 0.5))
+                else:
+                    dp, dn = (0.0, 0.0) if kind == "margin_free" else rng.uniform(-0.5, 1, 2)
+                    p = CircleParams.general(
+                        gamma,
+                        op=dp + rng.uniform(0.05, 1),
+                        on=dn - rng.uniform(0.05, 1),
+                        dp=dp,
+                        dn=dn,
+                    )
+                kernel, forward = circle_grad(g, p).value, circle_loss(g, p)
+            assert kernel == pytest.approx(forward, rel=1e-12, abs=0)
 
 
 class TestLossGradDispatch:

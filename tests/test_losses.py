@@ -194,6 +194,38 @@ class TestTripletLimit:
         assert unified_to_triplet_gap(g, 0.3, gamma) <= math.log(1 + k * l) / gamma
 
 
+class TestOneAnchorOnly:
+    # Groups the forward losses refuse: the kernels evaluate them per anchor.
+    @pytest.mark.parametrize(
+        "g",
+        [
+            SimilarityGroup(
+                sp=[[0.5], [0.7]], sn=[[0.1, 0.9], [0.3, 0.8]], sn_mask=[[True, False], [True, True]]
+            ),
+            SimilarityGroup(sp=[[0.5], [0.7]], sn=[[0.1, 0.9], [0.3, 0.8]]),
+            SimilarityGroup(sp=[0.5], sn=[0.1, 0.9], sn_mask=[True, False]),
+        ],
+        ids=["batched-masked", "batched", "masked"],
+    )
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            lambda g: unified_loss(g, UnifiedParams(8, 0.25)),
+            lambda g: circle_loss(g, CircleParams.reduced(8, 0.25)),
+            lambda g: triplet_hard_loss(g, 0.25),
+            lambda g: unified_to_triplet_gap(g, 0.25, 8.0),
+        ],
+        ids=["unified_loss", "circle_loss", "triplet_hard_loss", "unified_to_triplet_gap"],
+    )
+    def test_group_refused(self, g, loss):
+        with pytest.raises(ValueError, match="takes one unmasked anchor; the kernels circle_grad"):
+            loss(g)
+
+    def test_am_softmax_loss(self):
+        with pytest.raises(ValueError, match="one anchor's sn; unified_grad takes batches"):
+            am_softmax_loss(0.5, [[0.1, 0.9], [0.3, 0.8]], UnifiedParams(8, 0.25))
+
+
 class TestNonNegativity:
     def test_all_losses_strictly_positive(self):
         rng = np.random.default_rng(11)
