@@ -9,6 +9,7 @@ byte. The directory is made only once the command's work has succeeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -139,6 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused: parse_args returns a new
+# Namespace each time and leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def _train_config(args) -> engine.TrainConfig:
     return engine.TrainConfig(
         paradigm=args.paradigm,
@@ -241,7 +247,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, parser)

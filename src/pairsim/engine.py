@@ -85,7 +85,10 @@ class EmbeddingModel:
         emb, _ = self.forward(np.asarray(x, dtype=np.float64))
         if not np.all(np.isfinite(emb)):
             raise ValueError("degenerate feature: non-finite embedding")
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        if np.isinf(norms).any():
+            raise ValueError("degenerate feature: embedding norm overflows float64")
         if np.any(norms == 0.0):
             raise ValueError("degenerate feature: zero-norm embedding")
         return emb / norms

@@ -219,7 +219,11 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         raise ValueError("features/labels batch size mismatch")
 
     emb, cache = model.forward(features)
-    norms = np.linalg.norm(emb, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(emb, axis=1)
+    # Finite entries whose norm is inf; a non-finite entry ends as a non-finite loss.
+    if np.isinf(norms).any() and np.isfinite(emb).all():
+        raise ValueError("degenerate feature: embedding norm overflows float64")
     if np.any(norms == 0.0):
         raise ValueError("degenerate feature: zero-norm embedding")
     ehat = emb / norms[:, None]

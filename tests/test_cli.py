@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pairsim import cli
 from pairsim.cli import build_parser, main
 
 
@@ -652,17 +657,20 @@ class TestNoRunDirOnFailure:
         assert not out.exists()
 
     def test_eval_embedding_fails(self, tmp_path, data_csv, checkpoint, capsys):
+        # Every raw embedding entry is finite (at most about 1.5e308); the norms are not.
         doc = json.loads(checkpoint.read_text())
         doc["w1"] = [[1e308] * 8] * 8
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc))
         out = tmp_path / "r"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["eval", "--checkpoint", str(huge), "--data", str(data_csv),
                        "--scatter", "--out-dir", str(out)])
         assert rc == 1
+        assert caught == []
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error:invalid-input:degenerate feature:")
+        assert line == "error:invalid-input:degenerate feature: embedding norm overflows float64"
         assert not out.exists()
 
 
@@ -679,3 +687,68 @@ class TestRunDirNaming:
         assert len(first.name) == len("demo-") + 8
         assert main(argv) == 0
         assert run_dirs(out) == [first]
+
+
+def _run_alone(argv, cwd):
+    """``pairsim argv`` in a fresh interpreter; returns (exit code, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pairsim.cli import main; sys.exit(main())", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestParserReuse:
+    """main builds its parser once per process; reuse changes no result."""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is not build_parser()
+
+    def test_main_builds_the_parser_once(self, tmp_path):
+        cli._parser.cache_clear()
+        argv = ["gradfield", "--resolution", "3", "--out-dir", str(tmp_path)]
+        for _ in range(3):
+            assert main(argv) == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_call_sequence_matches_fresh_processes(self, tmp_path, data_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": "am_softmax", "gamma": 32.0, "resolution": 7}))
+        calls = [
+            ["gradfield", "--m", "0.35", "--config", str(cfg), "--tag", "override"],
+            ["gradfield", "--tag", "plain"],
+            ["gradfield", "--resolution", "many"],
+            ["train", "--data", str(data_csv), "--iterations", "5", "--p-classes", "3",
+             "--k-samples", "3", "--embed-dim", "8", "--seed", "2"],
+        ]
+        usage = "error:usage:argument --resolution: invalid int value: 'many'\n"
+        expected = [(0, ""), (0, ""), (1, usage), (0, "")]
+        cli._parser()  # every call below reuses one parser
+        misses = cli._parser.cache_info().misses
+        for i, (argv, want) in enumerate(zip(calls, expected)):
+            inproc, alone = tmp_path / f"in{i}", tmp_path / f"alone{i}"
+            rc, err = _run_quietly([*argv, "--out-dir", str(inproc)])
+            assert (rc, err) == want
+            assert _run_alone([*argv, "--out-dir", str(alone)], tmp_path) == want
+            if rc == 0:
+                assert _tree(inproc) == _tree(alone)
+            else:
+                assert not inproc.exists() and not alone.exists()
+        assert cli._parser.cache_info().misses == misses
+        (override,) = (tmp_path / "in0").iterdir()
+        (plain,) = (tmp_path / "in1").iterdir()
+        assert json.loads((override / "config.json").read_text()) == {
+            "loss": "am_softmax", "gamma": 32.0, "m": 0.35, "resolution": 7, "lo": 0.0, "hi": 1.0,
+        }
+        assert json.loads((plain / "config.json").read_text()) == {
+            "loss": "circle", "gamma": 256.0, "m": 0.25, "resolution": 101, "lo": 0.0, "hi": 1.0,
+        }

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestInitModel:
         model.w1 = np.full((4, 4), 1e308)
         with pytest.raises(ValueError, match="non-finite embedding"):
             model.embed(np.ones((3, 4)))
+
+    def test_overflowing_norm_rejected(self):
+        # Finite embedding entries whose norm overflows: refused without a
+        # numpy warning, not returned as all-zero rows.
+        model = init_model(0, din=4, embed_dim=4)
+        model.w1 = np.full((4, 4), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="embedding norm overflows float64"):
+                model.embed(np.eye(4)[:3])
 
 
 class TestPkSample:
@@ -298,7 +309,7 @@ class TestTrain:
         from pairsim.grads import LossGrad
 
         def zero_stub(loss_id, g, gamma, m):
-            return LossGrad(0.0, np.zeros(g.k), np.zeros(g.l), 0.0)
+            return LossGrad(0.0, np.zeros_like(g.sp), np.zeros_like(g.sn), 0.0)
 
         model = init_model(5, din=16, embed_dim=8)
         before = model.w1.copy()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -470,6 +471,17 @@ class TestBackpropToParams:
         )
         assert loss == 0.0
         assert not np.any(grads["w1"])
+
+    @pytest.mark.parametrize("paradigm", ["class_level", "pair_wise"])
+    def test_overflowing_embedding_norm_rejected(self, paradigm):
+        model = init_model(0, din=4, embed_dim=4, n_classes=2)
+        model.w1 = np.full((4, 4), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="embedding norm overflows float64"):
+                backprop_to_params(
+                    model, np.eye(4)[:2], np.array([0, 1]), "circle", 64.0, 0.25, paradigm
+                )
 
     def test_dimension_mismatch(self):
         model = init_model(0, din=4, embed_dim=4)
