@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import dataio, engine, evalkit, geometry
@@ -146,20 +146,9 @@ _parser = functools.cache(build_parser)
 
 
 def _train_config(args) -> engine.TrainConfig:
-    return engine.TrainConfig(
-        paradigm=args.paradigm,
-        loss=args.loss,
-        gamma=args.gamma,
-        m=args.m,
-        lr=args.lr,
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        p_classes=args.p_classes,
-        k_samples=args.k_samples,
-        embed_dim=args.embed_dim,
-        hidden=args.hidden,
-        seed=args.seed,
-    )
+    """The TrainConfig of the flags named after its fields; lr_schedule keeps its default."""
+    names = {f.name for f in fields(engine.TrainConfig)}
+    return engine.TrainConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _cmd_gen(args) -> None:
@@ -255,8 +244,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error:usage:{exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error:invalid-input:{exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error:memory:{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error:io:{exc}", file=sys.stderr)

@@ -75,9 +75,11 @@ def gen_clusters(spec: ClusterSpec) -> LabeledDataset:
     """
     rng = np.random.default_rng(spec.seed)
     centers = rng.standard_normal((spec.n_classes, spec.dim))
-    centers *= spec.center_scale / np.linalg.norm(centers, axis=1, keepdims=True)
-    features = np.repeat(centers, spec.per_class, axis=0)
-    features = features + spec.noise_sigma * rng.standard_normal(features.shape)
+    # A scale that overflows gives non-finite features, which LabeledDataset refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers *= spec.center_scale / np.linalg.norm(centers, axis=1, keepdims=True)
+        features = np.repeat(centers, spec.per_class, axis=0)
+        features = features + spec.noise_sigma * rng.standard_normal(features.shape)
     labels = np.repeat(np.arange(spec.n_classes), spec.per_class)
     return LabeledDataset(features=features, labels=labels)
 

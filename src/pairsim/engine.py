@@ -17,6 +17,7 @@ import numpy as np
 
 from . import grads
 from .dataio import LabeledDataset
+from .simcore import unit_rows
 
 __all__ = [
     "EmbeddingModel",
@@ -61,10 +62,12 @@ class EmbeddingModel:
         """Raw (un-normalized) embeddings plus the cache backward needs."""
         if x.shape[1] != self.din:
             raise ValueError(f"input dim {x.shape[1]} != model Din {self.din}")
-        if self.w2 is None:
-            return x @ self.w1.T, {"x": x}
-        z = np.tanh(x @ self.w1.T)
-        return z @ self.w2.T, {"x": x, "z": z}
+        # An entry that overflows is left for unit_rows to refuse, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.w2 is None:
+                return x @ self.w1.T, {"x": x}
+            z = np.tanh(x @ self.w1.T)
+            return z @ self.w2.T, {"x": x, "z": z}
 
     def backward(self, d_emb: np.ndarray, cache: dict) -> dict:
         if self.w2 is None:
@@ -83,15 +86,7 @@ class EmbeddingModel:
     def embed(self, x: np.ndarray) -> np.ndarray:
         """L2-normalized embeddings of a feature matrix."""
         emb, _ = self.forward(np.asarray(x, dtype=np.float64))
-        if not np.all(np.isfinite(emb)):
-            raise ValueError("degenerate feature: non-finite embedding")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        if np.isinf(norms).any():
-            raise ValueError("degenerate feature: embedding norm overflows float64")
-        if np.any(norms == 0.0):
-            raise ValueError("degenerate feature: zero-norm embedding")
-        return emb / norms
+        return unit_rows(emb, "embedding")[0]
 
 
 @dataclass(frozen=True)
@@ -188,15 +183,18 @@ def pk_sample(
 
 def train_step(model: EmbeddingModel, features, labels, config: TrainConfig, lr: float):
     """One SGD step on a batch; returns (loss, mean_sp, mean_sn)."""
-    param_grads, loss, mean_sp, mean_sn = grads.backprop_to_params(
-        model, features, labels, config.loss, config.gamma, config.m, config.paradigm
-    )
-    if not np.isfinite(loss):
-        raise RuntimeError(
-            f"non-finite loss {loss} (loss={config.loss}, gamma={config.gamma}, "
-            f"m={config.m}, lr={lr})"
+    # Overflow warns nothing: a non-finite loss is refused here, non-finite
+    # weights by the next step's unit_rows or by save_checkpoint.
+    with np.errstate(over="ignore", invalid="ignore"):
+        param_grads, loss, mean_sp, mean_sn = grads.backprop_to_params(
+            model, features, labels, config.loss, config.gamma, config.m, config.paradigm
         )
-    model.apply_gradients(param_grads, lr)
+        if not np.isfinite(loss):
+            raise RuntimeError(
+                f"non-finite loss {loss} (loss={config.loss}, gamma={config.gamma}, "
+                f"m={config.m}, lr={lr})"
+            )
+        model.apply_gradients(param_grads, lr)
     return loss, mean_sp, mean_sn
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataio import LabeledDataset, write_csv
+from .simcore import unit_rows
 
 # Query rows scored at once by recall_at_k and similarity_scatter.
 ROW_BLOCK = 256
@@ -77,12 +78,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     no positive never hits. Counting replaces a sort of the n x n matrix.
     """
     labels = np.asarray(labels)
-    e = np.asarray(embeddings, dtype=np.float64)
-    if not np.all(np.isfinite(e)):
-        raise ValueError("degenerate feature: non-finite embedding")
-    norms = np.linalg.norm(e, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate feature: zero-norm embedding")
+    e = unit_rows(np.asarray(embeddings, dtype=np.float64), "embedding")[0]
     n = e.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -93,7 +89,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise ValueError(f"k must lie in [1, {n - 1}]")
     index = np.arange(n)
     above = np.full(n, n)
-    for rows, sim, positive in _row_blocks(e / norms, labels):
+    for rows, sim, positive in _row_blocks(e, labels):
         best = np.max(sim, axis=1, where=positive, initial=-np.inf)[:, None]
         tie = sim == best
         first = np.argmax(tie & positive, axis=1)[:, None]

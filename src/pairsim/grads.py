@@ -32,7 +32,7 @@ from .losses import (
     row_softmax,
     unified_logits,
 )
-from .simcore import SimilarityGroup
+from .simcore import SimilarityGroup, unit_rows, unit_rows_grad
 
 __all__ = [
     "LossGrad",
@@ -219,21 +219,12 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         raise ValueError("features/labels batch size mismatch")
 
     emb, cache = model.forward(features)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(emb, axis=1)
-    # Finite entries whose norm is inf; a non-finite entry ends as a non-finite loss.
-    if np.isinf(norms).any() and np.isfinite(emb).all():
-        raise ValueError("degenerate feature: embedding norm overflows float64")
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate feature: zero-norm embedding")
-    ehat = emb / norms[:, None]
+    ehat, norms = unit_rows(emb, "embedding")
 
     if paradigm == "class_level":
         if model.class_weights is None:
             raise ValueError("class_level paradigm needs class weights")
-        w = model.class_weights
-        wnorms = np.linalg.norm(w, axis=1)
-        what = w / wnorms[:, None]
+        what, wnorms = unit_rows(model.class_weights, "class weight")
         scores = ehat @ what.T
         np.clip(scores, -1.0, 1.0, out=scores)
         # K = 1: sp is the target column; L = N - 1: sn is every other column.
@@ -249,9 +240,7 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         mean_sp = float(np.mean(group.sp))
         mean_sn = float(np.mean(scores, where=non_target))
         d_ehat = grad_s @ what
-        d_what = grad_s.T @ ehat
-        # Jacobian of row normalization for the class weights.
-        d_w = (d_what - np.sum(d_what * what, axis=1, keepdims=True) * what) / wnorms[:, None]
+        d_w = unit_rows_grad(grad_s.T @ ehat, what, wnorms)
     elif paradigm == "pair_wise":
         scores = np.clip(ehat @ ehat.T, -1.0, 1.0)
         same = labels[:, None] == labels[None, :]
@@ -268,9 +257,7 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
     else:
         raise ValueError(f"unknown paradigm {paradigm!r}")
 
-    # Jacobian of the embedding normalization.
-    d_emb = (d_ehat - np.sum(d_ehat * ehat, axis=1, keepdims=True) * ehat) / norms[:, None]
-    param_grads = model.backward(d_emb, cache)
+    param_grads = model.backward(unit_rows_grad(d_ehat, ehat, norms), cache)
     if d_w is not None:
         param_grads["class_weights"] = d_w
 

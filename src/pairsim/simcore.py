@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimilarityGroup"]
+__all__ = ["SimilarityGroup", "unit_rows", "unit_rows_grad"]
 
 
 def _member_mask(mask, scores: np.ndarray, side: str) -> np.ndarray:
@@ -73,3 +73,26 @@ class SimilarityGroup:
     def l(self) -> int:
         """Entries per sn row: the anchor's L when sn has no mask."""
         return self.sn.shape[-1]
+
+
+def unit_rows(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x scaled to unit length, and their norms as a column.
+
+    A non-finite entry, a norm that overflows float64 and a zero norm are
+    refused, each with a ValueError naming ``name``. A non-finite entry
+    always gives a non-finite norm, so the entries are scanned only then.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():
+        if not np.isfinite(x).all():
+            raise ValueError(f"degenerate feature: non-finite {name}")
+        raise ValueError(f"degenerate feature: {name} norm overflows float64")
+    if np.any(norms == 0.0):
+        raise ValueError(f"degenerate feature: zero-norm {name}")
+    return x / norms, norms
+
+
+def unit_rows_grad(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The gradient over x, given the gradient over ``unit, norms = unit_rows(x)``."""
+    return (d_unit - np.sum(d_unit * unit, axis=1, keepdims=True) * unit) / norms

@@ -236,6 +236,20 @@ def checkpoint(tmp_path_factory, data_csv):
     return run_dir / "checkpoint.json"
 
 
+@pytest.fixture(scope="module")
+def huge_inputs(tmp_path_factory, checkpoint):
+    """A checkpoint whose w1 entries are all 1e308, and a dataset of ones."""
+    root = tmp_path_factory.mktemp("huge")
+    doc = json.loads(checkpoint.read_text())
+    doc["w1"] = [[1e308] * 8] * 8
+    huge = root / "huge.json"
+    huge.write_text(json.dumps(doc))
+    ones = root / "ones.csv"
+    rows = [f"{i % 2}," + ",".join(["1"] * 8) for i in range(6)]
+    ones.write_text("\n".join(["label," + ",".join(f"f{i}" for i in range(8)), *rows]) + "\n")
+    return huge, ones
+
+
 class TestEval:
     def test_metrics_files(self, tmp_path, data_csv, checkpoint):
         out = tmp_path / "evalrun"
@@ -560,6 +574,80 @@ class TestConfigFuzz:
         _assert_clean_exit(rc, err)
 
 
+# Sizes are small, or ask for more than the 2^47-byte address space (so the
+# allocation fails at once), or overflow numpy's C integers: never in between.
+HUGE = [str(2**50), str(2**70)]
+JUNK = ["", "x", "-1", "0", "1.5", "nan", "1e400", "--"]
+INTS = st.sampled_from(["1", "2", "3", "-2", *JUNK])
+SIZES = st.sampled_from(["1", "2", "3", *HUGE, *JUNK])
+FLOATS = st.sampled_from(["0", "1", "-1", "0.25", "64", "inf", "-inf", "1e308", "-1e308", *JUNK])
+LISTS = st.sampled_from(["1,2", "32,64", "0.1", ",", "1,x", str(2**70), *JUNK])
+TRAIN_FLAGS = {
+    "--loss": st.sampled_from(["circle", "am_softmax", "normface", "softmax", "triplet",
+                               "unified", "bogus"]),
+    "--paradigm": st.sampled_from(["pair_wise", "class_level", "bogus"]),
+    "--gamma": FLOATS, "--m": FLOATS, "--lr": FLOATS, "--iterations": SIZES,
+    "--batch-size": SIZES, "--p-classes": SIZES, "--k-samples": SIZES,
+    "--embed-dim": SIZES, "--hidden": SIZES,
+}
+COMMON_FLAGS = {"--seed": st.sampled_from(["0", "-1", str(2**70), *JUNK]),
+                "--tag": st.sampled_from(["t", "", "a b", "x/y"]), "--bogus": INTS}
+ARGV_FLAGS = {
+    "gen": {"--classes": SIZES, "--per-class": SIZES, "--dim": SIZES, "--sigma": FLOATS,
+            "--center-scale": FLOATS},
+    "train": TRAIN_FLAGS,
+    "eval": {"--ks": LISTS, "--scatter": st.just(None)},
+    "gradfield": {"--loss": st.sampled_from(["circle", "am_softmax", "triplet", "softmax"]),
+                  "--gamma": FLOATS, "--m": FLOATS, "--resolution": SIZES, "--lo": FLOATS,
+                  "--hi": FLOATS},
+    "sweep": {**TRAIN_FLAGS, "--axis": st.sampled_from(["gamma", "m", "lr"]), "--values": LISTS},
+    "bogus": {},
+}
+
+
+class TestArgvFuzz:
+    """Draw a subcommand and flags with junk, negative, NaN, 1e400 and
+    over-address-space values: main ends with exit 0 and no stderr, or
+    exit 1, one error: line, no numpy warning and no run directory."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_argv_exits_cleanly(self, data_csv, checkpoint, huge_inputs, data):
+        command = data.draw(st.sampled_from(sorted(ARGV_FLAGS)))
+        flags = {**ARGV_FLAGS[command], **COMMON_FLAGS}
+        huge, ones = huge_inputs
+        with tempfile.TemporaryDirectory() as work:
+            out = Path(work) / "runs"
+            # The required flags and small sizes first; the fuzzed flags override them.
+            base = {
+                "gen": ["--classes", "2", "--per-class", "2", "--dim", "2", "-o", f"{work}/g.csv"],
+                "train": ["--data", str(data_csv), *TRAIN_SMALL],
+                "eval": ["--checkpoint", str(data.draw(st.sampled_from([checkpoint, huge, ones]))),
+                         "--data", str(data.draw(st.sampled_from([data_csv, ones])))],
+                "gradfield": ["--resolution", "3"],
+                "sweep": ["--data", str(data_csv), "--axis", "m", "--values", "0.1,0.2",
+                          *TRAIN_SMALL],
+                "bogus": [],
+            }[command]
+            if base and data.draw(st.integers(0, 4)) == 0:
+                base = base[data.draw(st.integers(1, len(base))):]
+            argv = [command, *base]
+            for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+                value = data.draw(flags[flag])
+                argv += [flag] if value is None else [flag, value]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc, err = _run_quietly([*argv, "--out-dir", str(out)])
+            assert caught == [], argv
+            if rc == 0:
+                assert err == "", argv
+            else:
+                assert rc == 1, argv
+                (line,) = err.splitlines()
+                assert line.startswith("error:"), argv
+                assert not out.exists(), argv
+
+
 class TestGradfield:
     def test_csv_shape(self, tmp_path):
         out = tmp_path / "gf"
@@ -656,12 +744,9 @@ class TestNoRunDirOnFailure:
         assert line == "error:invalid-input:" + message
         assert not out.exists()
 
-    def test_eval_embedding_fails(self, tmp_path, data_csv, checkpoint, capsys):
+    def test_eval_embedding_fails(self, tmp_path, data_csv, huge_inputs, capsys):
         # Every raw embedding entry is finite (at most about 1.5e308); the norms are not.
-        doc = json.loads(checkpoint.read_text())
-        doc["w1"] = [[1e308] * 8] * 8
-        huge = tmp_path / "huge.json"
-        huge.write_text(json.dumps(doc))
+        huge, _ = huge_inputs
         out = tmp_path / "r"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -671,6 +756,64 @@ class TestNoRunDirOnFailure:
         assert caught == []
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "error:invalid-input:degenerate feature: embedding norm overflows float64"
+        assert not out.exists()
+
+    def test_eval_overflowing_matmul_fails(self, tmp_path, huge_inputs, capsys):
+        # A dataset of ones: the embedding entries themselves overflow to inf.
+        huge, ones = huge_inputs
+        out = tmp_path / "r"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eval", "--checkpoint", str(huge), "--data", str(ones),
+                       "--out-dir", str(out)])
+        assert rc == 1
+        assert caught == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error:invalid-input:degenerate feature: non-finite embedding"
+        assert not out.exists()
+
+    # Every size asks for more than the 2^47-byte address space, so the
+    # allocation fails at once; 2^70 does not fit numpy's C integers.
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["gradfield", "--resolution", "10000000"],
+             "error:memory:Unable to allocate 728. TiB"),
+            (["train", "--data", "{data}", "--embed-dim", str(2**50)],
+             "error:memory:Unable to allocate 64.0 PiB"),
+            (["gen", "--classes", "2", "--per-class", str(2**70), "--dim", "2",
+              "-o", "{out}/x.csv"], "error:invalid-input:"),
+        ],
+        ids=["gradfield-resolution", "train-embed-dim", "gen-per-class"],
+    )
+    def test_size_fails(self, tmp_path, data_csv, capsys, argv, prefix):
+        out = tmp_path / "r"
+        argv = [a.format(data=data_csv, out=out) for a in argv]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--classes", "2", "--per-class", "2", "--dim", "2", "--center-scale", "1e308",
+             "-o", "{out}/x.csv"],
+            ["train", "--data", "{data}", "--gamma", "1e308", "--iterations", "8",
+             "--p-classes", "2", "--k-samples", "2", "--embed-dim", "4"],
+        ],
+        ids=["gen-center-scale", "train-gamma"],
+    )
+    def test_overflow_fails_without_warning(self, tmp_path, data_csv, capsys, argv):
+        out = tmp_path / "r"
+        argv = [a.format(data=data_csv, out=out) for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--out-dir", str(out)])
+        assert rc == 1
+        assert caught == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:invalid-input:")
         assert not out.exists()
 
 

@@ -53,11 +53,14 @@ class TestInitModel:
             init_model(0, din=4, embed_dim=4, hidden=hidden)
 
     def test_overflowing_embedding_rejected(self):
-        # Finite weights and features whose product overflows to inf.
+        # Finite weights and features whose product overflows to inf: refused
+        # without numpy's matmul overflow warning.
         model = init_model(0, din=4, embed_dim=4)
         model.w1 = np.full((4, 4), 1e308)
-        with pytest.raises(ValueError, match="non-finite embedding"):
-            model.embed(np.ones((3, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite embedding"):
+                model.embed(np.ones((3, 4)))
 
     def test_overflowing_norm_rejected(self):
         # Finite embedding entries whose norm overflows: refused without a

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ class TestRecallAtK:
         emb = np.array([[1.0, 0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="degenerate feature"):
             recall_at_k(emb, [0, 1], [1])
+
+    def test_overflowing_norm_rejected(self):
+        # Two clean classes, but every norm overflows: refused, not ranked as zero rows.
+        emb = np.array([[1e200, 1e200], [1e200, 1e200], [-1e200, 1e200], [-1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="embedding norm overflows float64"):
+                recall_at_k(emb, [0, 0, 1, 1], [1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):

@@ -483,6 +483,25 @@ class TestBackpropToParams:
                     model, np.eye(4)[:2], np.array([0, 1]), "circle", 64.0, 0.25, paradigm
                 )
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1e200] * 4, "class weight norm overflows float64"),
+            ([0.0] * 4, "zero-norm class weight"),
+            ([0.5, np.nan, 0.5, 0.5], "non-finite class weight"),
+        ],
+        ids=["overflow", "zero", "nan"],
+    )
+    def test_degenerate_class_weights_rejected(self, row, message):
+        model = init_model(0, din=4, embed_dim=4, n_classes=2)
+        model.class_weights[1] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^degenerate feature: {message}$"):
+                backprop_to_params(
+                    model, np.eye(4)[:2], np.array([0, 1]), "circle", 64.0, 0.25, "class_level"
+                )
+
     def test_dimension_mismatch(self):
         model = init_model(0, din=4, embed_dim=4)
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pairsim.simcore import SimilarityGroup
+from pairsim.simcore import SimilarityGroup, unit_rows, unit_rows_grad
 from reference import class_similarities, cosine, l2_normalize, pairwise_similarities
 
 finite_vectors = arrays(
@@ -31,6 +33,49 @@ class TestL2Normalize:
     @given(finite_vectors)
     def test_unit_norm(self, v):
         assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) < 1e-9
+
+
+class TestUnitRows:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                  elements=st.floats(-1e150, 1e150, allow_nan=False)).filter(
+        lambda x: (np.linalg.norm(x, axis=1) > 1e-100).all()))
+    def test_matches_reference_row_for_row(self, x):
+        # The reference's 1-D norm may sum in another order: equal up to rounding.
+        unit, norms = unit_rows(x, "row")
+        assert norms.shape == (x.shape[0], 1)
+        for row, u, n in zip(x, unit, norms[:, 0]):
+            np.testing.assert_allclose(u, l2_normalize(row), rtol=1e-15, atol=0)
+            assert n == pytest.approx(np.linalg.norm(row), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1.0, np.nan], "non-finite row"),
+            ([np.inf, 0.0], "non-finite row"),
+            ([1e200, -1e200], "row norm overflows float64"),
+            ([0.0, 0.0], "zero-norm row"),
+        ],
+    )
+    def test_refusals(self, row, message):
+        x = np.array([[3.0, 4.0], row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^degenerate feature: {message}$"):
+                unit_rows(x, "row")
+
+    def test_grad_matches_central_differences(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 3))
+        upstream = rng.standard_normal((4, 3))
+        unit, norms = unit_rows(x, "row")
+        grad = unit_rows_grad(upstream, unit, norms)
+        eps = 1e-6
+        for i, j in np.ndindex(x.shape):
+            step = np.zeros_like(x)
+            step[i, j] = eps
+            hi = np.sum(upstream * unit_rows(x + step, "row")[0])
+            lo = np.sum(upstream * unit_rows(x - step, "row")[0])
+            assert (hi - lo) / (2 * eps) == pytest.approx(grad[i, j], abs=1e-8)
 
 
 class TestCosine:
