@@ -62,10 +62,7 @@ def _check_config_value(action: argparse.Action, key: str, value) -> None:
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        if not isinstance(overrides, dict):
-            raise ValueError("config file must hold a JSON object")
+        overrides = dataio.load_json_object(args.config, "config file")
         (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
         for key, value in overrides.items():

@@ -20,6 +20,7 @@ __all__ = [
     "load_dataset",
     "save_checkpoint",
     "load_checkpoint",
+    "load_json_object",
     "save_record",
     "write_csv",
 ]
@@ -238,14 +239,23 @@ def _checkpoint_matrix(doc: dict, key: str, cols: int | None = None) -> np.ndarr
     return arr.astype(np.float64)
 
 
+def load_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; a refusal names ``what`` and the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValueError(f"{what} {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def load_checkpoint(path, expect_din: int | None = None):
     """Load an EmbeddingModel; returns (model, config_echo)."""
     from .engine import EmbeddingModel
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("checkpoint must hold a JSON object")
+    doc = load_json_object(path, "checkpoint")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
     missing = [key for key in CHECKPOINT_KEYS if key not in doc]

@@ -1,10 +1,10 @@
 """Analytic gradients of the losses, plus finite-difference verification.
 
 Each loss has one row-wise kernel over a SimilarityGroup of one anchor
-or of B masked rows: it gives the value, the attenuation factor Z and the
-gradients of every anchor at once. Entries outside an anchor's members
-get a -inf logit (+-inf for the triplet's max and min) and no gradient.
-Training, gradient-field grids and the single-group API share the kernels.
+or of B dense rows: it gives the value, the attenuation factor Z and the
+gradients of every anchor at once. Training, gradient-field grids and the
+single-group API share the kernels; only ``backprop_to_params`` knows
+which scores of a batch belong to which anchor.
 
 The circle-loss gradient follows the detached-weighting convention: the
 self-paced weights are treated as constants during back-propagation, so
@@ -27,7 +27,6 @@ from .losses import (
     UnifiedParams,
     circle_logits,
     circle_weights,
-    fill_non_members,
     require_one_anchor,
     row_softmax,
     unified_logits,
@@ -50,8 +49,7 @@ class LossGrad:
     """Loss value with gradients over sp / sn and the attenuation factor Z.
 
     For a 1-D group value and z are floats; for a batched group they are
-    arrays with one entry per anchor, and d_sp / d_sn are shaped like sp
-    / sn with zeros outside each anchor's members.
+    arrays with one entry per anchor. d_sp / d_sn are shaped like sp / sn.
     """
 
     value: float | np.ndarray
@@ -65,17 +63,17 @@ def _per_anchor(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _pair_softmax_grad(g: SimilarityGroup, gamma, un, vp, slope_n, slope_p) -> LossGrad:
+def _pair_softmax_grad(gamma, un, vp, slope_n, slope_p) -> LossGrad:
     """Value, Z and gradients of log[1 + sum e^un * sum e^vp] for each anchor.
 
     un and vp are scratch logits shaped like sn and sp whose slopes,
     with any weights held fixed, are gamma * slope_n in sn and
     gamma * slope_p in sp. They are overwritten with the gradients
-    Z * softmax * gamma * slope, 0 outside each anchor's members.
+    Z * softmax * gamma * slope.
     Z = 1 - exp(-value) is the sigmoid of the summed log-sum-exps.
     """
-    lse_n = row_softmax(fill_non_members(un, g.sn_mask, -np.inf))
-    lse_p = row_softmax(fill_non_members(vp, g.sp_mask, -np.inf))
+    lse_n = row_softmax(un)
+    lse_p = row_softmax(vp)
     value = np.logaddexp(0.0, lse_n + lse_p)
     z = -np.expm1(-value)
     scale = (z * gamma)[..., None]
@@ -96,7 +94,7 @@ def circle_grad(g: SimilarityGroup, p: CircleParams) -> LossGrad:
     """
     alpha_p, alpha_n = circle_weights(g, p)
     un, vp = circle_logits(g, p, (alpha_p, alpha_n))
-    return _pair_softmax_grad(g, p.gamma, un, vp, alpha_n, np.minimum(g.sp - p.op, 0.0))
+    return _pair_softmax_grad(p.gamma, un, vp, alpha_n, np.minimum(g.sp - p.op, 0.0))
 
 
 def unified_grad(g: SimilarityGroup, p: UnifiedParams) -> LossGrad:
@@ -105,7 +103,7 @@ def unified_grad(g: SimilarityGroup, p: UnifiedParams) -> LossGrad:
     It is the circle kernel's rule with every weight fixed at 1.
     """
     un, vp = unified_logits(g, p)
-    return _pair_softmax_grad(g, p.gamma, un, vp, 1.0, -1.0)
+    return _pair_softmax_grad(p.gamma, un, vp, 1.0, -1.0)
 
 
 def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
@@ -115,15 +113,13 @@ def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
     at the hinge kink (activation within HINGE_ACTIVE_TOL of zero) and
     beyond the boundary the gradient is zero.
     """
-    sn = fill_non_members(g.sn.copy(), g.sn_mask, -np.inf)
-    sp = fill_non_members(g.sp.copy(), g.sp_mask, np.inf)
-    hardest_n = np.argmax(sn, axis=-1)[..., None]
-    hardest_p = np.argmin(sp, axis=-1)[..., None]
-    hinge = np.take_along_axis(sn, hardest_n, -1) - np.take_along_axis(sp, hardest_p, -1) + m
+    hardest_n = np.argmax(g.sn, axis=-1)[..., None]
+    hardest_p = np.argmin(g.sp, axis=-1)[..., None]
+    hinge = np.take_along_axis(g.sn, hardest_n, -1) - np.take_along_axis(g.sp, hardest_p, -1) + m
     value = np.maximum(hinge[..., 0], 0.0)
     active = value[..., None] > HINGE_ACTIVE_TOL
-    d_sn = np.zeros_like(sn)
-    d_sp = np.zeros_like(sp)
+    d_sn = np.zeros_like(g.sn)
+    d_sp = np.zeros_like(g.sp)
     np.put_along_axis(d_sn, hardest_n, np.where(active, 1.0, 0.0), axis=-1)
     np.put_along_axis(d_sp, hardest_p, np.where(active, -1.0, 0.0), axis=-1)
     z = -np.expm1(-value)
@@ -163,7 +159,7 @@ def fd_check(
     through the weights and is expected to disagree away from sn = m.
     Entries within eps of a cut-off kink are skipped (subgradient
     ambiguity). Errors are scaled by max(1, |analytic|, |fd|); a NaN
-    error gives NaN. The 2(K + L) probes of the one unmasked anchor
+    error gives NaN. The 2(K + L) probes of the one anchor
     (each score +-eps) form one batched group, valued in one kernel call.
     """
     if not 1e-7 <= eps <= 1e-3:
@@ -192,7 +188,7 @@ def fd_check(
     batch = SimilarityGroup(probes[:, : g.k], probes[:, g.k :])
     if loss_id == "circle" and mode == "frozen":
         un, vp = circle_logits(batch, params, circle_weights(g, params))
-        values = _pair_softmax_grad(batch, params.gamma, un, vp, 0.0, 0.0).value
+        values = _pair_softmax_grad(params.gamma, un, vp, 0.0, 0.0).value
     else:
         values = kernel(batch, params).value
     analytic = kernel(g, params)
@@ -202,13 +198,35 @@ def fd_check(
     return float(np.max(np.where(kinks, 0.0, err)))
 
 
+def _block_columns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's positive and negative columns, ascending, in a pair-wise batch.
+
+    The batch must be P >= 2 blocks of K >= 2 rows, one class per block
+    and a different class in each, as ``engine.pk_sample`` draws it; K is
+    the length of the first label run. Any other layout is refused.
+    """
+    batch = labels.shape[0]
+    starts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    k = int(starts[0]) if starts.size else batch
+    p = batch // k if k >= 2 else 0
+    blocked = p >= 2 and p * k == batch and np.array_equal(starts, np.arange(k, batch, k))
+    if not blocked or len(set(labels[::k].tolist())) != p:
+        raise ValueError("pair_wise batch must be P >= 2 blocks of K >= 2 rows of distinct classes")
+    i = np.arange(batch)[:, None]
+    start = i - i % k
+    c, d = np.arange(k - 1), np.arange(batch - k)
+    # The positives skip column i itself, the negatives the K columns of i's block.
+    return start + c + (c >= i - start), d + k * (d >= start)
+
+
 def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: float, paradigm: str):
     """Mean batch loss, its parameter gradients, and batch similarity stats.
 
     Chains LossGrad entries through the cosine-similarity Jacobian and
     the embedding map. All reductions run in fixed index order, so the
     result is bit-reproducible. ``model`` must expose forward / backward
-    in the EmbeddingModel sense (see engine module).
+    in the EmbeddingModel sense (see engine module). A pair-wise batch must
+    be P >= 2 blocks of K >= 2 rows of distinct classes, as pk_sample draws.
 
     Returns (param_grads dict, mean_loss, mean_sp, mean_sn).
     """
@@ -227,31 +245,31 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         what, wnorms = unit_rows(model.class_weights, "class weight")
         scores = ehat @ what.T
         np.clip(scores, -1.0, 1.0, out=scores)
-        # K = 1: sp is the target column; L = N - 1: sn is every other column.
+        # K = 1, L = N - 1: with each row's target score swapped into the
+        # last column, sp is that column and sn the others, both views.
         rows = np.arange(batch)
-        non_target = np.ones(scores.shape, dtype=bool)
-        non_target[rows, labels] = False
-        group = SimilarityGroup(sp=scores[rows, labels][:, None], sn=scores, sn_mask=non_target)
+        scores[rows, labels], scores[:, -1] = scores[:, -1].copy(), scores[rows, labels]
+        group = SimilarityGroup(sp=scores[:, -1:], sn=scores[:, :-1])
+        means = float(np.mean(group.sp)), float(np.mean(group.sn))
         lg = loss_grad(loss_id, group, gamma, m)
-        # In place: d_sn is the kernel's own B x N array, 0 at each target.
-        grad_s = lg.d_sn
-        grad_s[rows, labels] = lg.d_sp[:, 0]
+        # The scores are spent, so their array takes the gradient: no fresh B x N array.
+        grad_s = np.concatenate((lg.d_sn, lg.d_sp), axis=1, out=scores)
+        grad_s[rows, labels], grad_s[:, -1] = grad_s[:, -1].copy(), grad_s[rows, labels]
         grad_s /= batch
-        mean_sp = float(np.mean(group.sp))
-        mean_sn = float(np.mean(scores, where=non_target))
         d_ehat = grad_s @ what
         d_w = unit_rows_grad(grad_s.T @ ehat, what, wnorms)
     elif paradigm == "pair_wise":
+        pos, neg = _block_columns(labels)
         scores = np.clip(ehat @ ehat.T, -1.0, 1.0)
-        same = labels[:, None] == labels[None, :]
-        np.fill_diagonal(same, False)
-        diff = labels[:, None] != labels[None, :]
-        group = SimilarityGroup(sp=scores, sn=scores, sp_mask=same, sn_mask=diff)
+        sp, sn = np.take_along_axis(scores, pos, 1), np.take_along_axis(scores, neg, 1)
+        group = SimilarityGroup(sp=sp, sn=sn)
+        means = float(np.mean(group.sp)), float(np.mean(group.sn))
         lg = loss_grad(loss_id, group, gamma, m)
-        # The masks are disjoint and each side's gradient is 0 off its mask.
-        grad_s = (lg.d_sp + lg.d_sn) / batch
-        mean_sp = float(np.mean(scores, where=same))
-        mean_sn = float(np.mean(scores, where=diff))
+        # Each row's own score is neither positive nor negative: it stays 0.
+        grad_s = np.zeros_like(scores)
+        np.put_along_axis(grad_s, pos, lg.d_sp, 1)
+        np.put_along_axis(grad_s, neg, lg.d_sn, 1)
+        grad_s /= batch
         d_ehat = (grad_s + grad_s.T) @ ehat
         d_w = None
     else:
@@ -262,4 +280,4 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         param_grads["class_weights"] = d_w
 
     mean_loss = float(np.sum(lg.value)) / batch
-    return param_grads, mean_loss, mean_sp, mean_sn
+    return param_grads, mean_loss, *means

@@ -16,8 +16,8 @@ below that the exponential underflows float64 and the value is 0.0. For
 example, unified_loss at sp = 1, sn = -1, m = 0.2 (pair logit
 -1.8 * gamma) is 0.0 from gamma of about 414 up, 2**16 included.
 
-Each forward loss takes one unmasked anchor. Batched and masked groups
-go to the row-wise kernels in the grads module.
+Each forward loss takes one anchor. Batched groups go to the row-wise
+kernels in the grads module.
 """
 
 from __future__ import annotations
@@ -111,18 +111,10 @@ class CircleParams:
         return cls(gamma=gamma, op=op, on=on, dp=dp, dn=dn)
 
 
-def fill_non_members(values: np.ndarray, mask, fill: float) -> np.ndarray:
-    """Set the entries of ``values`` outside ``mask`` to ``fill``, in place; None masks none."""
-    if mask is not None:
-        np.copyto(values, fill, where=~mask)
-    return values
-
-
 def row_softmax(logits: np.ndarray):
     """Overwrite each row of ``logits`` with its softmax; return each row's log-sum-exp.
 
-    Rows are shifted by their max, so no exponential overflows. A -inf
-    logit gets weight exactly 0; every row needs one finite logit.
+    Rows are shifted by their max, so no exponential overflows.
     """
     shift = np.max(logits, axis=-1, keepdims=True)
     logits -= shift
@@ -133,11 +125,11 @@ def row_softmax(logits: np.ndarray):
 
 
 def require_one_anchor(g: SimilarityGroup, name: str) -> None:
-    """Refuse a batched or masked group: ``name`` takes one unmasked anchor."""
-    if g.sp.ndim != 1 or g.sp_mask is not None or g.sn_mask is not None:
+    """Refuse a batched group: ``name`` takes one anchor."""
+    if g.sp.ndim != 1:
         raise ValueError(
-            f"{name} takes one unmasked anchor; the kernels circle_grad, "
-            "unified_grad and triplet_grad take batched and masked groups"
+            f"{name} takes one anchor; the kernels circle_grad, "
+            "unified_grad and triplet_grad take batches"
         )
 
 

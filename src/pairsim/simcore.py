@@ -3,9 +3,8 @@
 Everything downstream (losses, gradients, training) consumes similarity
 scores grouped per anchor: the within-class scores ``sp`` and the
 between-class scores ``sn``. A group holds one anchor as 1-D arrays, or
-B anchors as B x K and B x L rows. Batched rows may be padded: boolean
-member masks say which entries of each row belong to that anchor, so a
-score matrix and two masks express a whole batch in either paradigm.
+B anchors as dense B x K and B x L rows: every entry of a row belongs to
+its anchor. The two paradigms differ only in where the rows come from.
 """
 
 from __future__ import annotations
@@ -17,30 +16,17 @@ import numpy as np
 __all__ = ["SimilarityGroup", "unit_rows", "unit_rows_grad"]
 
 
-def _member_mask(mask, scores: np.ndarray, side: str) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape:
-        raise ValueError(f"{side} mask shape {mask.shape} != scores shape {scores.shape}")
-    if not mask.any(axis=-1).all():
-        raise ValueError("empty similarity side: an anchor has no members")
-    return mask
-
-
 @dataclass(frozen=True)
 class SimilarityGroup:
     """The within-class scores sp and between-class scores sn of B anchors.
 
     sp and sn are 1-D for a single anchor, or B x K and B x L with one
-    row per anchor. The optional boolean masks sp_mask and sn_mask,
-    shaped like sp and sn, select each anchor's members; without a mask
-    every entry of the row is a member. Every score must be finite,
-    members or not, and every anchor needs a member on each side.
+    row per anchor. Every score must be finite, and every anchor needs a
+    score on each side.
     """
 
     sp: np.ndarray
     sn: np.ndarray
-    sp_mask: np.ndarray | None = None
-    sn_mask: np.ndarray | None = None
 
     def __post_init__(self):
         # reshape rather than np.atleast_1d: groups are built once per loss
@@ -59,19 +45,15 @@ class SimilarityGroup:
             raise ValueError("non-finite similarity score")
         object.__setattr__(self, "sp", sp)
         object.__setattr__(self, "sn", sn)
-        if self.sp_mask is not None:
-            object.__setattr__(self, "sp_mask", _member_mask(self.sp_mask, sp, "sp"))
-        if self.sn_mask is not None:
-            object.__setattr__(self, "sn_mask", _member_mask(self.sn_mask, sn, "sn"))
 
     @property
     def k(self) -> int:
-        """Entries per sp row: the anchor's K when sp has no mask."""
+        """Entries per sp row: each anchor's K."""
         return self.sp.shape[-1]
 
     @property
     def l(self) -> int:
-        """Entries per sn row: the anchor's L when sn has no mask."""
+        """Entries per sn row: each anchor's L."""
         return self.sn.shape[-1]
 
 

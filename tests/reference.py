@@ -1,7 +1,7 @@
 """Per-vector and per-query references for the batched code paths.
 
 The grouping helpers build one anchor's SimilarityGroup from raw vectors,
-one cosine at a time, independently of the score matrix and member masks
+one cosine at a time, independently of the score matrix and dense rows
 that ``grads.backprop_to_params`` uses. Tests compare the batched
 kernels against them; tests/test_simcore.py keeps the reference honest.
 
@@ -226,17 +226,15 @@ def reduced_circle_grad(g, p):
     The slopes are written out for reduced mode, gamma * (sn + m) and
     gamma * (sp - 1 - m), and cut-off entries are zeroed by hand, where
     the program's kernel applies gamma * an and -gamma * ap in either
-    mode. The logits and the masked row softmax are computed as in the
-    program, so value, z and d_sn must agree bit for bit.
+    mode. The logits and the row softmax are computed as in the program,
+    so value, z and d_sn must agree bit for bit.
     """
     alpha_p = np.maximum(p.op - g.sp, 0.0)
     alpha_n = np.maximum(g.sn - p.on, 0.0)
     d_sn = p.gamma * alpha_n * (g.sn - p.dn)
     d_sp = -p.gamma * alpha_p * (g.sp - p.dp)
     lse = 0.0
-    for logits, mask in ((d_sn, g.sn_mask), (d_sp, g.sp_mask)):
-        if mask is not None:
-            np.copyto(logits, -np.inf, where=~mask)
+    for logits in (d_sn, d_sp):
         shift = np.max(logits, axis=-1, keepdims=True)
         logits -= shift
         np.exp(logits, out=logits)

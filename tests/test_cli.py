@@ -816,6 +816,23 @@ class TestNoRunDirOnFailure:
         assert line.startswith("error:invalid-input:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["eval", "--checkpoint", "{data}", "--data", "{data}"], "checkpoint"),
+            (["train", "--config", "{data}", "--data", "{data}"], "config file"),
+        ],
+        ids=["eval-checkpoint", "train-config"],
+    )
+    def test_file_not_json_named(self, tmp_path, data_csv, capsys, argv, what):
+        # A CSV where a JSON file belongs: the error names that file and its role.
+        out = tmp_path / "r"
+        argv = [a.format(data=data_csv) for a in argv]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error:invalid-input:{what} {data_csv} is not JSON: ")
+        assert not out.exists()
+
 
 class TestRunDirNaming:
     def test_tag_prefix_and_hash_stability(self, tmp_path):

@@ -282,18 +282,14 @@ class TestTrain:
 
     def test_class_level_l_is_n_minus_1(self):
         # One sample per class in class-level mode: every anchor sees N-1
-        # between-class scores. The batch is one masked group; count each
-        # anchor's members row by row.
+        # between-class scores. The batch is one group of dense rows.
         ds = gen_clusters(ClusterSpec(5, 1, 8, noise_sigma=0.0, seed=3))
         model = init_model(0, din=8, embed_dim=4, n_classes=5)
         captured = []
         original = grads.loss_grad
 
-        def members(scores, mask):
-            return np.full(scores.shape[0], scores.shape[1]) if mask is None else mask.sum(axis=1)
-
         def spy(loss_id, g, gamma, m):
-            captured.extend(zip(members(g.sp, g.sp_mask), members(g.sn, g.sn_mask)))
+            captured.append((g.sp.shape, g.sn.shape))
             return original(loss_id, g, gamma, m)
 
         grads.loss_grad, old = spy, grads.loss_grad
@@ -303,7 +299,7 @@ class TestTrain:
             )
         finally:
             grads.loss_grad = old
-        assert len(captured) == 5 and all(k == 1 and l == 4 for k, l in captured)
+        assert captured == [((5, 1), (5, 4))]
 
     def test_zero_gradient_stub_leaves_model_unchanged(self, small_dataset):
         # Loss-agnostic plumbing: a loss producing zero gradients must not
@@ -314,28 +310,17 @@ class TestTrain:
         def zero_stub(loss_id, g, gamma, m):
             return LossGrad(0.0, np.zeros_like(g.sp), np.zeros_like(g.sn), 0.0)
 
+        # A P x K-blocked batch (P = 3, K = 4), as pk_sample draws it.
+        idx = pk_sample(small_dataset, 3, 4, np.random.default_rng(5))
+        feats, labels = small_dataset.features[idx], small_dataset.labels[idx]
         model = init_model(5, din=16, embed_dim=8)
         before = model.w1.copy()
         old = g_mod.loss_grad
         g_mod.loss_grad = zero_stub
         try:
-            g_mod.backprop_to_params(
-                model,
-                small_dataset.features[:12],
-                small_dataset.labels[:12],
-                "circle",
-                64,
-                0.25,
-                "pair_wise",
-            )[0]
+            g_mod.backprop_to_params(model, feats, labels, "circle", 64, 0.25, "pair_wise")[0]
             grads_out = g_mod.backprop_to_params(
-                model,
-                small_dataset.features[:12],
-                small_dataset.labels[:12],
-                "circle",
-                64,
-                0.25,
-                "pair_wise",
+                model, feats, labels, "circle", 64, 0.25, "pair_wise"
             )[0]
         finally:
             g_mod.loss_grad = old

@@ -212,18 +212,13 @@ class TestFdCheck:
         assert math.isnan(fd_check("unified", g, UnifiedParams(8, 0.25)))
 
     @pytest.mark.parametrize(
-        "g",
-        [
-            SimilarityGroup(sp=[[0.5], [0.7]], sn=[[0.1, 0.9], [0.3, 0.8]]),
-            SimilarityGroup(sp=[0.5], sn=[0.1, 0.9], sn_mask=[True, False]),
-        ],
-        ids=["batched", "masked"],
+        "g", [SimilarityGroup(sp=[[0.5], [0.7]], sn=[[0.1, 0.9], [0.3, 0.8]])], ids=["batched"]
     )
     @pytest.mark.parametrize(
         "loss_id, p", [("unified", UnifiedParams(8, 0.25)), ("circle", CircleParams.reduced(8, 0.25))]
     )
     def test_one_unmasked_anchor_only(self, g, loss_id, p):
-        with pytest.raises(ValueError, match="fd_check takes one unmasked anchor"):
+        with pytest.raises(ValueError, match="fd_check takes one anchor"):
             fd_check(loss_id, g, p)
 
 
@@ -272,34 +267,27 @@ KERNEL_LOSSES = ("circle", "unified", "am_softmax", "triplet")
 
 
 def _pairwise_batch(rng):
-    """Ragged pair-wise batch (classes of 3, 2 and 4) as one masked group."""
-    labels = rng.permutation(np.repeat([0, 1, 2], [3, 2, 4]))
+    """P x K pair-wise batch (P = 3, K = 4): K - 1 positives and B - K negatives per row."""
+    labels = np.repeat(rng.permutation(3), 4)
     e = rng.standard_normal((labels.size, 5))
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     scores = np.clip(e @ e.T, -1.0, 1.0)
-    same = labels[:, None] == labels[None, :]
-    np.fill_diagonal(same, False)
-    diff = labels[:, None] != labels[None, :]
-    return SimilarityGroup(sp=scores, sn=scores, sp_mask=same, sn_mask=diff)
+    rows = np.arange(labels.size)
+    pos = [scores[b][(labels == labels[b]) & (rows != b)] for b in rows]
+    return SimilarityGroup(sp=pos, sn=[scores[b][labels != labels[b]] for b in rows])
 
 
 def _class_level_batch(rng):
-    """Class-level batch: K = 1 target column, L = N - 1 masked columns."""
+    """Class-level batch: K = 1 target score and L = N - 1 other scores per row."""
     batch, n_classes = 7, 5
     scores = rng.uniform(-1, 1, (batch, n_classes))
     labels = rng.integers(0, n_classes, batch)
-    rows = np.arange(batch)
-    non_target = np.ones(scores.shape, dtype=bool)
-    non_target[rows, labels] = False
-    return SimilarityGroup(sp=scores[rows, labels][:, None], sn=scores, sn_mask=non_target)
-
-
-def _members(side, mask, row):
-    return side[row] if mask is None else side[row][mask[row]]
+    sn = [np.delete(row, y) for row, y in zip(scores, labels)]
+    return SimilarityGroup(sp=scores[np.arange(batch), labels][:, None], sn=sn)
 
 
 class TestBatchedKernel:
-    """Each row of a masked batch equals the 1-D kernel on that anchor alone."""
+    """Each row of a dense batch equals the 1-D kernel on that anchor alone."""
 
     @pytest.mark.parametrize("build", [_pairwise_batch, _class_level_batch])
     @pytest.mark.parametrize("loss_id", KERNEL_LOSSES)
@@ -309,28 +297,14 @@ class TestBatchedKernel:
         batched = loss_grad(loss_id, g, gamma, m)
         exact = loss_id == "triplet"
         for b in range(g.sp.shape[0]):
-            single = loss_grad(
-                loss_id,
-                group(_members(g.sp, g.sp_mask, b), _members(g.sn, g.sn_mask, b)),
-                gamma,
-                m,
-            )
-            got = (
-                batched.value[b],
-                batched.z[b],
-                _members(batched.d_sp, g.sp_mask, b),
-                _members(batched.d_sn, g.sn_mask, b),
-            )
+            single = loss_grad(loss_id, group(g.sp[b], g.sn[b]), gamma, m)
+            got = (batched.value[b], batched.z[b], batched.d_sp[b], batched.d_sn[b])
             want = (single.value, single.z, single.d_sp, single.d_sn)
             for a, w in zip(got, want):
                 if exact:
                     np.testing.assert_array_equal(a, w)
                 else:
                     np.testing.assert_allclose(a, w, rtol=1e-12, atol=1e-12)
-            # Entries outside the anchor's members get no gradient.
-            for d, mask in ((batched.d_sp, g.sp_mask), (batched.d_sn, g.sn_mask)):
-                if mask is not None:
-                    assert not np.any(d[b][~mask[b]])
 
     def test_single_anchor_is_scalar(self):
         lg = loss_grad("circle", group([0.6, 0.7], [0.2]), 32, 0.25)
@@ -432,13 +406,22 @@ class TestBackpropToParams:
                     j,
                 )
 
-    @pytest.mark.parametrize("paradigm", ["class_level", "pair_wise"])
-    def test_batch_matches_per_anchor_reference(self, paradigm):
-        # The masks must select the groups the per-vector reference builds
+    @pytest.mark.parametrize(
+        "paradigm, labels",
+        [
+            # Targets in column 0 and in column N - 1 = 3: both edges of the swap.
+            ("class_level", [3, 0, 0, 1, 1, 2, 2, 3, 0, 1]),
+            # P x K blocks in shuffled class order.
+            ("pair_wise", [2, 2, 2, 0, 0, 0, 1, 1, 1]),
+        ],
+        ids=["class_level", "pair_wise"],
+    )
+    def test_batch_matches_per_anchor_reference(self, paradigm, labels):
+        # The dense rows must hold the groups the per-vector reference builds
         # anchor by anchor; the scores differ only by rounding.
         rng = np.random.default_rng(22)
-        labels = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 1])
-        n_classes = 3 if paradigm == "class_level" else None
+        labels = np.array(labels)
+        n_classes = 4 if paradigm == "class_level" else None
         model = init_model(22, din=4, embed_dim=5, n_classes=n_classes)
         features = rng.standard_normal((labels.size, 4))
         _, loss, mean_sp, mean_sn = backprop_to_params(
@@ -460,6 +443,23 @@ class TestBackpropToParams:
         assert loss == pytest.approx(ref_loss, rel=1e-9)
         assert mean_sp == pytest.approx(np.mean(np.concatenate([g.sp for g in groups])), rel=1e-12)
         assert mean_sn == pytest.approx(np.mean(np.concatenate([g.sn for g in groups])), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 0, 0, 1, 1, 2, 2, 2, 2, 1],
+            [0, 0, 0, 1, 1, 2],
+            [0, 1, 0, 1],
+            [0, 0, 1, 1, 0, 0],
+            [0, 0, 0, 0],
+        ],
+        ids=["ragged", "ragged-divisible", "interleaved", "repeated-block", "single-block"],
+    )
+    def test_unblocked_pair_wise_batch_refused(self, labels):
+        model = init_model(0, din=4, embed_dim=5)
+        features = np.random.default_rng(23).standard_normal((len(labels), 4))
+        with pytest.raises(ValueError, match="P >= 2 blocks of K >= 2 rows"):
+            backprop_to_params(model, features, labels, "circle", 16.0, 0.25, "pair_wise")
 
     def test_zero_loss_grad_means_zero_param_grads(self):
         # Triplet on a fully satisfied batch: no gradient anywhere.
