@@ -17,6 +17,7 @@ import numpy as np
 
 from . import grads
 from .dataio import LabeledDataset
+from .losses import require_scale_margin
 from .simcore import unit_rows
 
 __all__ = [
@@ -110,6 +111,7 @@ class TrainConfig:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
         if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSS_IDS)}")
+        require_scale_margin(self.gamma, self.m)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be positive and finite")
         if self.iterations < 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import write_csv
 from .grads import loss_grad
-from .losses import CircleParams, circle_logits
+from .losses import CircleParams, circle_logits, require_scale_margin
 from .simcore import SimilarityGroup
 
 __all__ = [
@@ -98,8 +98,10 @@ def gradient_field(loss_id: str, gamma: float, m: float, grid: GridSpec | None =
 
     Rows are emitted row-major over (sn outer, sp inner) with columns
     (sn, sp, d_sn, d_sp, loss). A grid so far outside the cosine range
-    [-1, 1] that gamma times a score overflows is refused.
+    [-1, 1] that gamma times a score overflows is refused, as are a bad
+    gamma or m even where the loss ignores them.
     """
+    require_scale_margin(gamma, m)
     grid = grid or GridSpec()
     sn, sp = np.meshgrid(
         np.linspace(*grid.sn_range, grid.resolution),

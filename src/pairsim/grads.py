@@ -4,7 +4,8 @@ Each loss has one row-wise kernel over a SimilarityGroup of one anchor
 or of B dense rows: it gives the value, the attenuation factor Z and the
 gradients of every anchor at once. Training, gradient-field grids and the
 single-group API share the kernels; only ``backprop_to_params`` knows
-which scores of a batch belong to which anchor.
+which scores of a batch belong to which anchor; a pair-wise batch's
+rows are read from, and written back through, P x K block views.
 
 The circle-loss gradient follows the detached-weighting convention: the
 self-paced weights are treated as constants during back-propagation, so
@@ -198,12 +199,12 @@ def fd_check(
     return float(np.max(np.where(kinks, 0.0, err)))
 
 
-def _block_columns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's positive and negative columns, ascending, in a pair-wise batch.
+def _block_layout(labels: np.ndarray) -> tuple[int, int]:
+    """(P, K) of a pair-wise batch of P >= 2 blocks of K >= 2 rows.
 
-    The batch must be P >= 2 blocks of K >= 2 rows, one class per block
-    and a different class in each, as ``engine.pk_sample`` draws it; K is
-    the length of the first label run. Any other layout is refused.
+    One class per block and a different class in each, as
+    ``engine.pk_sample`` draws it; K is the length of the first label
+    run. Any other layout is refused.
     """
     batch = labels.shape[0]
     starts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
@@ -212,11 +213,7 @@ def _block_columns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocked = p >= 2 and p * k == batch and np.array_equal(starts, np.arange(k, batch, k))
     if not blocked or len(set(labels[::k].tolist())) != p:
         raise ValueError("pair_wise batch must be P >= 2 blocks of K >= 2 rows of distinct classes")
-    i = np.arange(batch)[:, None]
-    start = i - i % k
-    c, d = np.arange(k - 1), np.arange(batch - k)
-    # The positives skip column i itself, the negatives the K columns of i's block.
-    return start + c + (c >= i - start), d + k * (d >= start)
+    return p, k
 
 
 def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: float, paradigm: str):
@@ -259,16 +256,25 @@ def backprop_to_params(model, features, labels, loss_id: str, gamma: float, m: f
         d_ehat = grad_s @ what
         d_w = unit_rows_grad(grad_s.T @ ehat, what, wnorms)
     elif paradigm == "pair_wise":
-        pos, neg = _block_columns(labels)
+        p, k = _block_layout(labels)
         scores = np.clip(ehat @ ehat.T, -1.0, 1.0)
-        sp, sn = np.take_along_axis(scores, pos, 1), np.take_along_axis(scores, neg, 1)
+        # Block (a, b) of the (P, P, K, K) view scores the rows of block a
+        # against the columns of block b: sp is the diagonal blocks less each
+        # row's own score, sn the off-diagonal blocks, in ascending columns.
+        own, off_self = np.eye(p, dtype=bool), ~np.eye(k, dtype=bool)
+        blocks = scores.reshape(p, k, p, k).transpose(0, 2, 1, 3)
+        sp = blocks[own][:, off_self].reshape(batch, k - 1)
+        sn = blocks[~own].reshape(p, p - 1, k, k).transpose(0, 2, 1, 3).reshape(batch, batch - k)
         group = SimilarityGroup(sp=sp, sn=sn)
         means = float(np.mean(group.sp)), float(np.mean(group.sn))
         lg = loss_grad(loss_id, group, gamma, m)
-        # Each row's own score is neither positive nor negative: it stays 0.
-        grad_s = np.zeros_like(scores)
-        np.put_along_axis(grad_s, pos, lg.d_sp, 1)
-        np.put_along_axis(grad_s, neg, lg.d_sn, 1)
+        # Back through the same views; each row's own score stays 0.
+        diag = np.zeros((p, k, k))
+        diag[:, off_self] = lg.d_sp.reshape(p, -1)
+        blocks = np.empty((p, p, k, k))
+        blocks[own] = diag
+        blocks[~own] = lg.d_sn.reshape(p, k, p - 1, k).transpose(0, 2, 1, 3).reshape(-1, k, k)
+        grad_s = blocks.transpose(0, 2, 1, 3).reshape(batch, batch)
         grad_s /= batch
         d_ehat = (grad_s + grad_s.T) @ ehat
         d_w = None

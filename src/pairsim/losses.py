@@ -46,6 +46,14 @@ __all__ = [
 HINGE_ACTIVE_TOL = 1e-12
 
 
+def require_scale_margin(gamma: float, m: float) -> None:
+    """Refuse a gamma that is not positive and finite, or an m that is not finite."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive and finite")
+    if not math.isfinite(m):
+        raise ValueError("m must be finite")
+
+
 @dataclass(frozen=True)
 class UnifiedParams:
     """Scale factor and margin of the unified loss."""
@@ -54,10 +62,7 @@ class UnifiedParams:
     m: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be positive and finite")
-        if not math.isfinite(self.m):
-            raise ValueError("m must be finite")
+        require_scale_margin(self.gamma, self.m)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ one cosine at a time, independently of the score matrix and dense rows
 that ``grads.backprop_to_params`` uses. Tests compare the batched
 kernels against them; tests/test_simcore.py keeps the reference honest.
 
+The pair-wise oracle cuts each row's positives and negatives out of a
+batch score matrix with that row's own boolean masks, and scatters
+gradients back the same way, independently of the P x K block views
+that ``grads.backprop_to_params`` uses.
+
 The retrieval helpers rank and scan one query at a time over the whole
 gallery, independently of the row blocks and rank counting in
 ``evalkit``.
@@ -87,6 +92,36 @@ def pairwise_similarities(anchor, positives, negatives) -> SimilarityGroup:
     sp = np.array([np.clip(ah @ l2_normalize(p), -1.0, 1.0) for p in positives])
     sn = np.array([np.clip(ah @ l2_normalize(q), -1.0, 1.0) for q in negatives])
     return SimilarityGroup(sp=sp, sn=sn)
+
+
+def pair_wise_masks(labels):
+    """Per row i: (positive mask, negative mask) over the batch columns.
+
+    The positives are i's same-label columns other than i, the negatives
+    its other-label columns.
+    """
+    labels = np.asarray(labels)
+    cols = np.arange(labels.size)
+    return [((labels == labels[i]) & (cols != i), labels != labels[i]) for i in cols]
+
+
+def pair_wise_rows(scores, labels):
+    """(sp, sn) dense rows of a pair-wise batch, each row in ascending column order."""
+    masks = pair_wise_masks(labels)
+    sp = np.array([row[pos] for row, (pos, _) in zip(scores, masks)])
+    sn = np.array([row[neg] for row, (_, neg) in zip(scores, masks)])
+    return sp, sn
+
+
+def pair_wise_scatter(d_sp, d_sn, labels):
+    """The B x B score gradient with each row's d_sp / d_sn put back at its
+    positive / negative columns; each row's own entry stays 0."""
+    masks = pair_wise_masks(labels)
+    grad = np.zeros((len(masks), len(masks)))
+    for i, (pos, neg) in enumerate(masks):
+        grad[i, pos] = d_sp[i]
+        grad[i, neg] = d_sn[i]
+    return grad
 
 
 def recall_at_k_bruteforce(embeddings, labels, ks) -> dict:

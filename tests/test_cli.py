@@ -39,6 +39,15 @@ def run_dirs(out_dir):
     return sorted(p for p in out_dir.iterdir() if p.is_dir())
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestGen:
     def test_writes_csv(self, data_csv):
         lines = data_csv.read_text().splitlines()
@@ -344,11 +353,7 @@ class TestEval:
             )
         assert rc == 0
         (run_dir,) = run_dirs(out)
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        doc = json.loads((run_dir / "metrics.json").read_text(), parse_constant=reject)
+        doc = _strict_json((run_dir / "metrics.json").read_text())
         assert doc["concentration"] is None
         assert doc["n_scatter_points"] == 0
         assert doc["recall_at_k"] == {"1": 0.0}
@@ -607,8 +612,9 @@ ARGV_FLAGS = {
 
 class TestArgvFuzz:
     """Draw a subcommand and flags with junk, negative, NaN, 1e400 and
-    over-address-space values: main ends with exit 0 and no stderr, or
-    exit 1, one error: line, no numpy warning and no run directory."""
+    over-address-space values: main ends with exit 0, no stderr and only
+    strict JSON files, or exit 1, one error: line, no numpy warning and no
+    run directory."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -641,6 +647,8 @@ class TestArgvFuzz:
             assert caught == [], argv
             if rc == 0:
                 assert err == "", argv
+                for path in out.rglob("*.json"):
+                    _strict_json(path.read_text())
             else:
                 assert rc == 1, argv
                 (line,) = err.splitlines()
@@ -814,6 +822,34 @@ class TestNoRunDirOnFailure:
         assert caught == []
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:invalid-input:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--data", "{data}", *TRAIN_SMALL, "--loss", "triplet", "--gamma", "nan"],
+             "gamma must be positive and finite"),
+            (["train", "--data", "{data}", *TRAIN_SMALL, "--loss", "softmax", "--m", "inf"],
+             "m must be finite"),
+            (["gradfield", "--resolution", "3", "--loss", "triplet", "--gamma", "nan"],
+             "gamma must be positive and finite"),
+            (["gradfield", "--resolution", "3", "--loss", "triplet", "--gamma", "-3"],
+             "gamma must be positive and finite"),
+            (["sweep", "--data", "{data}", *TRAIN_SMALL, "--loss", "triplet", "--axis", "gamma",
+              "--values", "nan"], "gamma must be positive and finite"),
+        ],
+        ids=["train-triplet-gamma-nan", "train-softmax-m-inf", "gradfield-triplet-gamma-nan",
+             "gradfield-triplet-gamma-negative", "sweep-triplet-gamma-nan"],
+    )
+    def test_scale_or_margin_refused_for_every_loss(self, tmp_path, data_csv, capsys, argv,
+                                                    message):
+        # A loss that ignores gamma or m still refuses a bad one: NaN and
+        # Infinity would otherwise be echoed into config.json, which is not JSON.
+        out = tmp_path / "r"
+        argv = [a.format(data=data_csv) for a in argv]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error:invalid-input:" + message
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from pairsim.grads import (
     unified_grad,
 )
 from pairsim.losses import CircleParams, UnifiedParams, circle_loss, unified_loss
-from pairsim.simcore import SimilarityGroup
+from pairsim.simcore import SimilarityGroup, unit_rows, unit_rows_grad
 import reference
 from reference import class_similarities, pairwise_similarities
 
@@ -271,10 +271,7 @@ def _pairwise_batch(rng):
     labels = np.repeat(rng.permutation(3), 4)
     e = rng.standard_normal((labels.size, 5))
     e /= np.linalg.norm(e, axis=1, keepdims=True)
-    scores = np.clip(e @ e.T, -1.0, 1.0)
-    rows = np.arange(labels.size)
-    pos = [scores[b][(labels == labels[b]) & (rows != b)] for b in rows]
-    return SimilarityGroup(sp=pos, sn=[scores[b][labels != labels[b]] for b in rows])
+    return SimilarityGroup(*reference.pair_wise_rows(np.clip(e @ e.T, -1.0, 1.0), labels))
 
 
 def _class_level_batch(rng):
@@ -522,6 +519,78 @@ class TestBackpropToParams:
         )
         radial = grads["class_weights"][0] @ features[0]
         assert abs(radial) < 1e-12
+
+
+PK_LAYOUTS = [(2, 2), (2, 5), (3, 4), (5, 3), (16, 8)]
+
+
+def _blocked_batch(p, k, seed, distinct_rows=None):
+    """Model, features and labels of a P x K batch in shuffled, spaced class order.
+
+    With ``distinct_rows`` every feature row is a copy of one of that many,
+    so many scores tie exactly.
+    """
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(3 * rng.permutation(p) + 1, k)
+    features = rng.standard_normal((distinct_rows or p * k, 4))
+    if distinct_rows:
+        features = features[rng.integers(0, distinct_rows, p * k)]
+    return init_model(seed, din=4, embed_dim=5, hidden=6), features, labels
+
+
+def _oracle_backprop(model, features, labels, loss_id, gamma, m):
+    """backprop_to_params's pair-wise chain, gathering and scattering through
+    the per-row oracle; returns (param_grads, the group the kernel got)."""
+    emb, cache = model.forward(features)
+    ehat, norms = unit_rows(emb, "embedding")
+    scores = np.clip(ehat @ ehat.T, -1.0, 1.0)
+    g = SimilarityGroup(*reference.pair_wise_rows(scores, labels))
+    lg = loss_grad(loss_id, g, gamma, m)
+    grad_s = reference.pair_wise_scatter(lg.d_sp, lg.d_sn, labels) / labels.size
+    d_ehat = (grad_s + grad_s.T) @ ehat
+    return model.backward(unit_rows_grad(d_ehat, ehat, norms), cache), g
+
+
+class TestPairWiseBlockViews:
+    """The P x K block views hand the kernel, bit for bit, the rows that
+    per-row masks cut out, and scatter its gradients back to the same columns."""
+
+    @staticmethod
+    def _assert_matches_oracle(monkeypatch, model, features, labels, loss_id):
+        seen = []
+
+        def spy(loss_id, g, gamma, m):
+            seen.append(g)
+            return loss_grad(loss_id, g, gamma, m)
+
+        monkeypatch.setattr(grads, "loss_grad", spy)
+        got, _, mean_sp, mean_sn = backprop_to_params(
+            model, features, labels, loss_id, 16.0, 0.25, "pair_wise"
+        )
+        monkeypatch.undo()
+        want, oracle = _oracle_backprop(model, features, labels, loss_id, 16.0, 0.25)
+        (g,) = seen
+        np.testing.assert_array_equal(g.sp, oracle.sp)
+        np.testing.assert_array_equal(g.sn, oracle.sn)
+        assert (mean_sp, mean_sn) == (np.mean(oracle.sp), np.mean(oracle.sn))
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        return oracle
+
+    @pytest.mark.parametrize("p, k", PK_LAYOUTS, ids=[f"P{p}xK{k}" for p, k in PK_LAYOUTS])
+    @pytest.mark.parametrize("loss_id", ["circle", "am_softmax", "triplet"])
+    def test_matches_per_row_oracle(self, monkeypatch, p, k, loss_id):
+        self._assert_matches_oracle(monkeypatch, *_blocked_batch(p, k, seed=p * k), loss_id)
+
+    def test_triplet_ties_on_duplicated_rows(self, monkeypatch):
+        # Three distinct feature rows over 12: equal scores in a row, so the
+        # hardest pair's argmax / argmin picks the first of tied columns.
+        model, features, labels = _blocked_batch(4, 3, seed=7, distinct_rows=3)
+        g = self._assert_matches_oracle(monkeypatch, model, features, labels, "triplet")
+        active = loss_grad("triplet", g, 16.0, 0.25).value > 0
+        assert np.any(active & (np.sum(g.sn == g.sn.max(axis=1, keepdims=True), axis=1) > 1))
+        assert np.any(active & (np.sum(g.sp == g.sp.min(axis=1, keepdims=True), axis=1) > 1))
 
 
 class TestReducedModePin:
