@@ -4,11 +4,18 @@ Every subcommand is deterministic given its flags and input files, and
 run outputs land in a directory named by the user tag plus a hash of the
 resolved configuration, so reruns overwrite their own artifacts byte for
 byte. The directory is made only once the command's work has succeeded.
+
+A flag that sets a library parameter takes its default and choices from
+the library (TrainConfig, ClusterSpec, GridSpec, grads.LOSS_IDS,
+evalkit.SWEEP_AXES); a command has only the flags it reads, so --seed is
+on gen, train and sweep alone. A --config value is read as its flag's
+type: {"gamma": 64} and --gamma 64 resolve to one config and one run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -16,7 +23,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from . import dataio, engine, evalkit, geometry
+from . import dataio, engine, evalkit, geometry, grads
 
 __all__ = ["main", "build_parser"]
 
@@ -49,15 +56,18 @@ def _run_dir(out_dir: str, tag: str, config: dict) -> Path:
     return path
 
 
-def _check_config_value(action: argparse.Action, key: str, value) -> None:
-    """Reject a config value that the flag's own parser could not produce."""
+def _check_config_value(action: argparse.Action, key: str, value):
+    """The config value as the flag's own parser would give it: a JSON
+    integer for a float flag becomes a float. Refuses what it could not give."""
     kind = bool if action.nargs == 0 else (action.type or str)
     allowed = (int, float) if kind is float else (kind,)
     ok = (value is None and action.default is None and not action.required) or (
         isinstance(value, allowed) and isinstance(value, bool) == (kind is bool)
     )
-    if not ok or (action.choices is not None and value not in action.choices):
-        raise ValueError(f"config key {key!r}: {value!r} is not a valid value")
+    if ok and (action.choices is None or value in action.choices):
+        with contextlib.suppress(OverflowError):  # an integer past float range
+            return value if value is None else kind(value)
+    raise ValueError(f"config key {key!r}: {value!r} is not a valid value")
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -68,29 +78,30 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         for key, value in overrides.items():
             if key not in actions or key == "help":
                 raise ValueError(f"unknown config key {key!r}")
-            _check_config_value(actions[key], key, value)
-            setattr(args, key, value)
+            setattr(args, key, _check_config_value(actions[key], key, value))
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-dir", default="runs")
     sub.add_argument("--tag", default=None, help="run directory name prefix")
     sub.add_argument("--config", default=None, help="JSON file overriding flags")
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--loss", default="circle", choices=engine.LOSS_IDS)
-    sub.add_argument("--paradigm", default="pair_wise", choices=["class_level", "pair_wise"])
-    sub.add_argument("--gamma", type=float, default=256.0)
-    sub.add_argument("--m", type=float, default=0.25)
-    sub.add_argument("--lr", type=float, default=0.05)
-    sub.add_argument("--iterations", type=int, default=200)
-    sub.add_argument("--batch-size", type=int, default=32)
-    sub.add_argument("--p-classes", type=int, default=8)
-    sub.add_argument("--k-samples", type=int, default=4)
-    sub.add_argument("--embed-dim", type=int, default=32)
-    sub.add_argument("--hidden", type=int, default=None)
+    """One flag per TrainConfig field but lr_schedule, with that field's default."""
+    base = engine.TrainConfig
+    sub.add_argument("--loss", default=base.loss, choices=grads.LOSS_IDS)
+    sub.add_argument("--paradigm", default=base.paradigm, choices=engine.PARADIGMS)
+    sub.add_argument("--gamma", type=float, default=base.gamma)
+    sub.add_argument("--m", type=float, default=base.m)
+    sub.add_argument("--lr", type=float, default=base.lr)
+    sub.add_argument("--iterations", type=int, default=base.iterations)
+    sub.add_argument("--batch-size", type=int, default=base.batch_size)
+    sub.add_argument("--p-classes", type=int, default=base.p_classes)
+    sub.add_argument("--k-samples", type=int, default=base.k_samples)
+    sub.add_argument("--embed-dim", type=int, default=base.embed_dim)
+    sub.add_argument("--hidden", type=int, default=base.hidden)
+    sub.add_argument("--seed", type=int, default=base.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--classes", type=int, required=True)
     gen.add_argument("--per-class", type=int, required=True)
     gen.add_argument("--dim", type=int, required=True)
-    gen.add_argument("--sigma", type=float, default=0.1)
-    gen.add_argument("--center-scale", type=float, default=1.0)
+    gen.add_argument("--sigma", type=float, default=dataio.ClusterSpec.noise_sigma)
+    gen.add_argument("--center-scale", type=float, default=dataio.ClusterSpec.center_scale)
+    gen.add_argument("--seed", type=int, default=dataio.ClusterSpec.seed)
     gen.add_argument("-o", "--output", required=True)
     _add_common(gen)
 
@@ -122,14 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
     gf.add_argument("--loss", default="circle", choices=["triplet", "am_softmax", "circle"])
     gf.add_argument("--gamma", type=float, default=256.0)
     gf.add_argument("--m", type=float, default=0.25)
-    gf.add_argument("--resolution", type=int, default=101)
-    gf.add_argument("--lo", type=float, default=0.0)
-    gf.add_argument("--hi", type=float, default=1.0)
+    grid = geometry.GridSpec
+    gf.add_argument("--resolution", type=int, default=grid.resolution)
+    gf.add_argument("--lo", type=float, default=grid.sn_range[0])
+    gf.add_argument("--hi", type=float, default=grid.sn_range[1])
     _add_common(gf)
 
     sw = subs.add_parser("sweep", help="train once per hyper-parameter value")
     sw.add_argument("--data", required=True)
-    sw.add_argument("--axis", required=True, choices=["gamma", "m"])
+    sw.add_argument("--axis", required=True, choices=evalkit.SWEEP_AXES)
     sw.add_argument("--values", required=True, help="comma-separated values")
     _add_train_flags(sw)
     _add_common(sw)
@@ -217,6 +230,7 @@ def _cmd_sweep(args) -> None:
     config = _train_config(args)
     rows = evalkit.sweep(dataset, config, args.axis, values)
     echo = asdict(config)
+    del echo[args.axis]  # the base value is unused: values carries the axis
     echo.update({"data": args.data, "axis": args.axis, "values": values})
     run_dir = _run_dir(args.out_dir, args.tag or f"sweep-{args.axis}", echo)
     evalkit.write_sweep_csv(run_dir / "sweep.csv", args.axis, rows)

@@ -31,7 +31,7 @@ __all__ = [
     "train",
 ]
 
-LOSS_IDS = ("circle", "am_softmax", "normface", "softmax", "triplet", "unified")
+PARADIGMS = ("class_level", "pair_wise")
 DEFAULT_LR_SCHEDULE = ((0.5, 0.1), (0.7, 0.01), (0.9, 0.001))
 
 
@@ -107,10 +107,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.paradigm not in ("class_level", "pair_wise"):
+        if self.paradigm not in PARADIGMS:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
-        if self.loss not in LOSS_IDS:
-            raise ValueError(f"unknown loss {self.loss!r}; valid: {', '.join(LOSS_IDS)}")
+        if self.loss not in grads.LOSS_IDS:
+            raise ValueError(f"unknown loss {self.loss!r}; valid: {', '.join(grads.LOSS_IDS)}")
         require_scale_margin(self.gamma, self.m)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be positive and finite")

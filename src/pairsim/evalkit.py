@@ -17,6 +17,8 @@ from .simcore import unit_rows
 
 # Query rows scored at once by recall_at_k and similarity_scatter.
 ROW_BLOCK = 256
+# The TrainConfig fields a sweep may vary.
+SWEEP_AXES = ("gamma", "m")
 
 __all__ = [
     "MetricsReport",
@@ -148,8 +150,8 @@ def sweep(dataset: LabeledDataset, base_config, axis: str, values):
     """
     from .engine import train
 
-    if axis not in ("gamma", "m"):
-        raise ValueError("axis must be 'gamma' or 'm'")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {', '.join(SWEEP_AXES)}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")

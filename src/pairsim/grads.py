@@ -127,6 +127,10 @@ def triplet_grad(g: SimilarityGroup, m: float) -> LossGrad:
     return LossGrad(value=_per_anchor(value), d_sp=d_sp, d_sn=d_sn, z=_per_anchor(z))
 
 
+# The ids loss_grad dispatches: TrainConfig and `pairsim train --loss` take these.
+LOSS_IDS = ("circle", "am_softmax", "normface", "softmax", "triplet", "unified")
+
+
 def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float) -> LossGrad:
     """Dispatch a loss id to its value-and-gradient evaluation."""
     if loss_id == "circle":
@@ -139,10 +143,7 @@ def loss_grad(loss_id: str, g: SimilarityGroup, gamma: float, m: float) -> LossG
         return unified_grad(g, UnifiedParams(1.0, 0.0))
     if loss_id == "triplet":
         return triplet_grad(g, m)
-    raise ValueError(
-        f"unknown loss id {loss_id!r}; valid: circle, unified, am_softmax, "
-        "normface, softmax, triplet"
-    )
+    raise ValueError(f"unknown loss id {loss_id!r}; valid: {', '.join(LOSS_IDS)}")
 
 
 def fd_check(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairsim import cli
+from pairsim import cli, dataio, engine, geometry
 from pairsim.cli import build_parser, main
 
 
@@ -83,6 +83,8 @@ class TestUsageErrors:
              "argument --iterations: invalid int value: 'abc'"),
             (["bogus"], "argument command: invalid choice: 'bogus'"),
             (["train", "--iterations", "3"], "the following arguments are required: --data"),
+            (["sweep", "--data", "x.csv", "--axis", "lr", "--values", "1"],
+             "argument --axis: invalid choice: 'lr'"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
@@ -595,17 +597,19 @@ TRAIN_FLAGS = {
     "--batch-size": SIZES, "--p-classes": SIZES, "--k-samples": SIZES,
     "--embed-dim": SIZES, "--hidden": SIZES,
 }
-COMMON_FLAGS = {"--seed": st.sampled_from(["0", "-1", str(2**70), *JUNK]),
-                "--tag": st.sampled_from(["t", "", "a b", "x/y"]), "--bogus": INTS}
+SEEDS = st.sampled_from(["0", "-1", str(2**70), *JUNK])
+COMMON_FLAGS = {"--tag": st.sampled_from(["t", "", "a b", "x/y"]), "--bogus": INTS}
 ARGV_FLAGS = {
     "gen": {"--classes": SIZES, "--per-class": SIZES, "--dim": SIZES, "--sigma": FLOATS,
-            "--center-scale": FLOATS},
-    "train": TRAIN_FLAGS,
+            "--center-scale": FLOATS, "--seed": SEEDS},
+    "train": {**TRAIN_FLAGS, "--seed": SEEDS},
     "eval": {"--ks": LISTS, "--scatter": st.just(None)},
     "gradfield": {"--loss": st.sampled_from(["circle", "am_softmax", "triplet", "softmax"]),
                   "--gamma": FLOATS, "--m": FLOATS, "--resolution": SIZES, "--lo": FLOATS,
                   "--hi": FLOATS},
-    "sweep": {**TRAIN_FLAGS, "--axis": st.sampled_from(["gamma", "m", "lr"]), "--values": LISTS},
+    # --axis lr is a usage error before any code runs: TestUsageErrors covers it.
+    "sweep": {**TRAIN_FLAGS, "--seed": SEEDS, "--axis": st.sampled_from(["gamma", "m"]),
+              "--values": LISTS},
     "bogus": {},
 }
 
@@ -638,7 +642,13 @@ class TestArgvFuzz:
             if base and data.draw(st.integers(0, 4)) == 0:
                 base = base[data.draw(st.integers(1, len(base))):]
             argv = [command, *base]
-            for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+            chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=4))
+            if "--loss" in flags:
+                # Every loss meets a drawn gamma or m, including the losses that ignore them.
+                scale_margin = st.lists(st.sampled_from(["--gamma", "--m"]), min_size=1,
+                                        max_size=2, unique=True)
+                chosen = ["--loss", *data.draw(scale_margin), *chosen]
+            for flag in chosen:
                 value = data.draw(flags[flag])
                 argv += [flag] if value is None else [flag, value]
             with warnings.catch_warnings(record=True) as caught:
@@ -718,6 +728,21 @@ class TestSweep:
         assert lines[0] == "gamma,recall_at_1"
         assert len(lines) == 3
         assert [float(line.split(",")[0]) for line in lines[1:]] == [32.0, 64.0]
+
+    def test_echo_leaves_out_the_axis_base_value(self, tmp_path, data_csv):
+        # The base --gamma is unused when gamma is the axis: both runs are one run.
+        out = tmp_path / "sw"
+        for gamma in ("256", "128"):
+            assert main(
+                [
+                    "sweep", "--data", str(data_csv), "--axis", "gamma", "--values", "32,64",
+                    "--gamma", gamma, *TRAIN_SMALL, "--out-dir", str(out),
+                ]
+            ) == 0
+        (run_dir,) = run_dirs(out)
+        echo = json.loads((run_dir / "config.json").read_text())
+        assert "gamma" not in echo
+        assert (echo["axis"], echo["values"], echo["m"]) == ("gamma", [32.0, 64.0], 0.25)
 
     def test_empty_values(self, tmp_path, data_csv, capsys):
         rc = main(
@@ -883,6 +908,75 @@ class TestRunDirNaming:
         assert len(first.name) == len("demo-") + 8
         assert main(argv) == 0
         assert run_dirs(out) == [first]
+
+
+class TestFlagsFollowTheLibrary:
+    """A flag takes its default from the library parameter it sets, a command
+    takes only the flags it reads, and a config value is what its flag parses."""
+
+    def test_defaults_are_the_library_defaults(self):
+        parse = build_parser().parse_args
+        assert cli._train_config(parse(["train", "--data", "x"])) == engine.TrainConfig()
+        gen = parse(["gen", "--classes", "2", "--per-class", "1", "--dim", "1", "-o", "x"])
+        spec = dataio.ClusterSpec(2, 1, 1)
+        assert (gen.sigma, gen.center_scale, gen.seed) == (
+            spec.noise_sigma, spec.center_scale, spec.seed)
+        gf, grid = parse(["gradfield"]), geometry.GridSpec()
+        assert (gf.resolution, (gf.lo, gf.hi), (gf.lo, gf.hi)) == (
+            grid.resolution, grid.sn_range, grid.sp_range)
+
+    @pytest.mark.parametrize("command", ["eval", "gradfield"])
+    def test_seed_refused_where_nothing_reads_it(self, tmp_path, data_csv, checkpoint, capsys,
+                                                 command):
+        base = {"eval": ["--checkpoint", str(checkpoint), "--data", str(data_csv)],
+                "gradfield": ["--resolution", "3"]}[command]
+        out = tmp_path / "r"
+        assert main([command, *base, "--seed", "1", "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error:usage:unrecognized arguments: --seed 1"
+        assert not out.exists()
+
+    def test_eval_config_seed_is_an_unknown_key(self, tmp_path, data_csv, checkpoint, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        out = tmp_path / "r"
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_csv),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error:invalid-input:unknown config key 'seed'"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flags, twin",
+        [
+            (["train", "--data", "{data}", *TRAIN_SMALL], ["--gamma", "64", "--lr", "1"],
+             {"gamma": 64, "lr": 1}),
+            (["gradfield"], ["--gamma", "64", "--resolution", "5", "--lo", "0", "--hi", "1"],
+             {"gamma": 64, "resolution": 5, "lo": 0, "hi": 1}),
+        ],
+        ids=["train", "gradfield"],
+    )
+    def test_config_twin_lands_in_the_flag_run_directory(self, tmp_path, data_csv, argv, flags,
+                                                         twin):
+        # JSON integers for float flags resolve to the config the flags give.
+        out = tmp_path / "r"
+        argv = [a.format(data=data_csv) for a in argv]
+        assert main([*argv, *flags, "--out-dir", str(out)]) == 0
+        flag_run = _tree(out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(twin))
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert _tree(out) == flag_run
+
+    def test_integer_past_float_range_refused(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 10**400}))
+        out = tmp_path / "r"
+        assert main(["train", "--data", str(data_csv), *TRAIN_SMALL, "--config", str(cfg),
+                     "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:invalid-input:")
+        assert not out.exists()
 
 
 def _run_alone(argv, cwd):
